@@ -64,7 +64,7 @@ func BenchmarkTable6WritePair(b *testing.B) {
 	bench := lsm.NewBench(lsm.LSR)
 	cycles := 0
 	for i := 0; i < b.N; i++ {
-		if bench.HW.Sim.Lookup("ib_wcnt_2").Get() >= infobase.EntriesPerLevel {
+		if bench.HW.WriteCount(infobase.Level2) >= infobase.EntriesPerLevel {
 			var err error
 			if _, err = bench.ResetOp(); err != nil {
 				b.Fatal(err)

@@ -36,24 +36,54 @@ func NewBenchWith(rtype RouterType, opts Options) *Bench {
 }
 
 // run asserts a command, steps until done, then deasserts the strobe.
-// observe, when non-nil, is called after every step so the caller can
-// watch mid-operation signals.
-func (b *Bench) run(cmd Command, observe func()) (int, error) {
+func (b *Bench) run(cmd Command) (int, error) {
+	b.strobe(cmd)
+	cycles, ok := b.HW.Sim.StepUntilSet(b.HW.Done, b.MaxCycles)
+	return cycles, b.release(cmd, cycles, ok)
+}
+
+// runSearch is run for the commands that start the search module. It
+// stops at the search's completion pulse on the way to done to see
+// whether the search hit and at which position: read index + 1 (0 for an
+// empty level) for the linear design, or the CAM's matched address + 1
+// for the associative ablation; on a miss, the entries scanned.
+func (b *Bench) runSearch(cmd Command) (found bool, pos, cycles int, err error) {
 	hw := b.HW
-	hw.ExtOp.Set(uint64(cmd))
-	hw.Enable.SetBool(true)
-	cycles, ok := hw.Sim.StepUntil(func() bool {
-		if observe != nil {
-			observe()
+	b.strobe(cmd)
+	cycles, ok := hw.Sim.StepUntilSet(hw.LookupDone, b.MaxCycles)
+	if ok {
+		found = hw.SearchFound()
+		switch {
+		case hw.Opts.Search == SearchCAM && found:
+			pos = int(hw.camAddr.Get()) + 1
+		case hw.Opts.Search == SearchCAM:
+			pos = int(hw.wSel.Get())
+		case hw.wSel.Get() == 0:
+			pos = 0
+		default:
+			pos = int(hw.RIndex.Get()) + 1
 		}
-		return hw.Done.Bool()
-	}, b.MaxCycles)
-	hw.Enable.SetBool(false)
-	hw.ExtOp.Set(uint64(CmdNone))
-	if !ok {
-		return cycles, fmt.Errorf("%w: %v after %d cycles", ErrTimeout, cmd, cycles)
+		// The completion pulse is registered, so it is at least a cycle
+		// behind the search's.
+		var more int
+		more, ok = hw.Sim.StepUntilSet(hw.Done, b.MaxCycles-cycles)
+		cycles += more
 	}
-	return cycles, nil
+	return found, pos, cycles, b.release(cmd, cycles, ok)
+}
+
+func (b *Bench) strobe(cmd Command) {
+	b.HW.ExtOp.Set(uint64(cmd))
+	b.HW.Enable.SetBool(true)
+}
+
+func (b *Bench) release(cmd Command, cycles int, done bool) error {
+	b.HW.Enable.SetBool(false)
+	b.HW.ExtOp.Set(uint64(CmdNone))
+	if !done {
+		return fmt.Errorf("%w: %v after %d cycles", ErrTimeout, cmd, cycles)
+	}
+	return nil
 }
 
 // ResetOp pulses the architecture reset and returns its cycle cost
@@ -63,12 +93,11 @@ func (b *Bench) ResetOp() (int, error) {
 	// Drain any residue of a previous reset (sequencer count, done
 	// pulse) so back-to-back resets each run the full 3-cycle sequence.
 	// These idle edges are the gap between commands, not operation cost.
-	rstCnt := hw.Sim.Lookup("rst_cnt")
-	for i := 0; i < 4 && (rstCnt.Get() != 0 || hw.Done.Bool()); i++ {
+	for i := 0; i < 4 && (hw.rstCnt.Get() != 0 || hw.Done.Bool()); i++ {
 		hw.Sim.Step()
 	}
 	hw.Reset.SetBool(true)
-	cycles, ok := hw.Sim.StepUntil(func() bool { return hw.Done.Bool() }, b.MaxCycles)
+	cycles, ok := hw.Sim.StepUntilSet(hw.Done, b.MaxCycles)
 	hw.Reset.SetBool(false)
 	if !ok {
 		return cycles, fmt.Errorf("%w: reset after %d cycles", ErrTimeout, cycles)
@@ -85,7 +114,7 @@ func (b *Bench) UserPush(e label.Entry) (int, error) {
 		return 0, err
 	}
 	b.HW.DataIn.Set(uint64(w))
-	return b.run(CmdUserPush, nil)
+	return b.run(CmdUserPush)
 }
 
 // UserPop removes the top entry, returning it and the cycle cost
@@ -93,7 +122,7 @@ func (b *Bench) UserPush(e label.Entry) (int, error) {
 func (b *Bench) UserPop() (label.Entry, int, error) {
 	top := label.Unpack(uint32(b.HW.Stack.Top.Get()))
 	hadTop := b.HW.Stack.Size.Get() > 0
-	cycles, err := b.run(CmdUserPop, nil)
+	cycles, err := b.run(CmdUserPop)
 	if err != nil {
 		return label.Entry{}, cycles, err
 	}
@@ -111,7 +140,7 @@ func (b *Bench) WritePair(lv infobase.Level, p infobase.Pair) (int, error) {
 		return 0, err
 	}
 	hw := b.HW
-	if hw.Sim.Lookup("ib_wcnt_"+string(byte('0'+lv))).Get() >= infobase.EntriesPerLevel {
+	if hw.WriteCount(lv) >= infobase.EntriesPerLevel {
 		return 0, fmt.Errorf("%w: level %d", infobase.ErrLevelFull, lv)
 	}
 	hw.Level.Set(uint64(lv))
@@ -122,7 +151,7 @@ func (b *Bench) WritePair(lv infobase.Level, p infobase.Pair) (int, error) {
 	} else {
 		hw.OldLabel.Set(uint64(p.Index))
 	}
-	return b.run(CmdWritePair, nil)
+	return b.run(CmdWritePair)
 }
 
 // LookupResult is the outcome of a direct information base lookup.
@@ -143,41 +172,14 @@ func (b *Bench) Lookup(lv infobase.Level, key infobase.Key) (LookupResult, int, 
 	} else {
 		hw.LabelLookup.Set(uint64(key))
 	}
-	var res LookupResult
-	cycles, err := b.run(CmdLookup, b.searchObserver(&res.Found, &res.SearchPos))
+	found, pos, cycles, err := b.runSearch(CmdLookup)
+	res := LookupResult{Found: found, SearchPos: pos}
 	if err != nil {
 		return res, cycles, err
 	}
 	res.Label = label.Label(hw.LabelOut.Get())
 	res.Op = label.Op(hw.OperationOut.Get())
 	return res, cycles, nil
-}
-
-// searchObserver watches the search module and records whether it hit and
-// at which position: read index + 1 at the completion pulse (0 for an
-// empty level) for the linear design, or the CAM's matched address + 1
-// for the associative ablation.
-func (b *Bench) searchObserver(found *bool, pos *int) func() {
-	hw := b.HW
-	return func() {
-		if !hw.LookupDone.Bool() {
-			return
-		}
-		hit := hw.SrchState.Get() == srFound
-		if hit {
-			*found = true
-		}
-		switch {
-		case hw.Opts.Search == SearchCAM && hit:
-			*pos = int(hw.Sim.Lookup("cam_addr").Get()) + 1
-		case hw.Opts.Search == SearchCAM:
-			*pos = int(hw.Sim.Lookup("w_sel").Get())
-		case hw.Sim.Lookup("w_sel").Get() == 0:
-			*pos = 0
-		default:
-			*pos = int(hw.RIndex.Get()) + 1
-		}
-	}
 }
 
 // ReadPair reads the stored pair at address i of level lv directly (the
@@ -189,12 +191,12 @@ func (b *Bench) ReadPair(lv infobase.Level, i int) (infobase.Pair, int, error) {
 	if !lv.Valid() {
 		return infobase.Pair{}, 0, infobase.ErrInvalidLevel
 	}
-	if i < 0 || uint64(i) >= hw.Sim.Lookup("ib_wcnt_"+string(byte('0'+lv))).Get() {
+	if i < 0 || i >= hw.WriteCount(lv) {
 		return infobase.Pair{}, 0, fmt.Errorf("lsm: no pair at level %d address %d", lv, i)
 	}
 	hw.Level.Set(uint64(lv))
 	hw.DataIn.Set(uint64(i))
-	cycles, err := b.run(CmdReadPair, nil)
+	cycles, err := b.run(CmdReadPair)
 	if err != nil {
 		return infobase.Pair{}, cycles, err
 	}
@@ -213,9 +215,7 @@ func (b *Bench) Update(req UpdateRequest) (UpdateResult, int, error) {
 	hw.PacketID.Set(uint64(req.PacketID))
 	hw.TTLIn.Set(uint64(req.TTLIn))
 	hw.CoSIn.Set(uint64(req.CoSIn))
-	var found bool
-	var pos int
-	cycles, err := b.run(CmdUpdate, b.searchObserver(&found, &pos))
+	found, pos, cycles, err := b.runSearch(CmdUpdate)
 	res := UpdateResult{SearchPos: pos}
 	if err != nil {
 		return res, cycles, err

@@ -61,3 +61,34 @@ func BenchmarkHWUpdateSwap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPktProcProcess tracks the simulation kernel's speed on the
+// design's hot path without the full benchmark harness: one packet
+// through the hardware packet interfaces with every level at 1024
+// entries and the hit half way down, so almost every cycle is the
+// three-state search loop.
+func BenchmarkPktProcProcess(b *testing.B) {
+	p := NewPktProc(LSR, Options{})
+	bench := p.Bench()
+	for lv := infobase.Level1; lv <= infobase.Level3; lv++ {
+		for i := 0; i < infobase.EntriesPerLevel; i++ {
+			pair := infobase.Pair{Index: infobase.Key(2000 + i), NewLabel: label.Label(100 + i), Op: label.OpSwap}
+			if _, err := bench.WritePair(lv, pair); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	in := []label.Entry{{Label: 2000 + 539, TTL: 64}}
+	var cycles int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, discarded, c, err := p.Process(in, 0, 0, 0)
+		if err != nil || discarded {
+			b.Fatalf("packet %d: discarded=%v err=%v", i, discarded, err)
+		}
+		cycles += c
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+}

@@ -24,10 +24,15 @@ type camBank struct {
 	key  *rtl.Signal
 	hit  *rtl.Signal
 	addr *rtl.Signal
+	// gen counts content changes. The match logic reads words and valid,
+	// which no other signal carries; gen is how a write or a clear reaches
+	// its sensitivity list.
+	gen *rtl.Signal
 
 	words []uint64
 	valid []bool
 
+	changes          uint64
 	doWrite, doClear bool
 	pendAddr         uint64
 	pendData         uint64
@@ -41,10 +46,11 @@ func newCAMBank(sim *rtl.Simulator, name string, size int, wen, waddr, wdata, cl
 		wen: wen, waddr: waddr, wdata: wdata, clr: clr, key: key,
 		hit:   sim.Signal(name+"_hit", 1),
 		addr:  sim.Signal(name+"_addr", indexBits),
+		gen:   sim.Signal(name+"_gen", 64),
 		words: make([]uint64, size),
 		valid: make([]bool, size),
 	}
-	sim.Add(c)
+	sim.Add(c, rtl.Sigs{wen, waddr, wdata, clr}, rtl.Sigs{c.gen})
 	sim.Comb(func() {
 		k := key.Get()
 		n := count.Get()
@@ -60,7 +66,7 @@ func newCAMBank(sim *rtl.Simulator, name string, size int, wen, waddr, wdata, cl
 		}
 		c.hit.SetBool(false)
 		c.addr.Set(0)
-	})
+	}, rtl.Sigs{key, count, c.gen}, rtl.Sigs{c.hit, c.addr})
 	return c
 }
 
@@ -76,14 +82,22 @@ func (c *camBank) Latch() {
 
 // Commit applies the snooped write.
 func (c *camBank) Commit() {
-	if c.doClear {
-		for i := range c.valid {
-			c.valid[i] = false
+	changed := false
+	switch {
+	case c.doClear:
+		for i, v := range c.valid {
+			if v {
+				c.valid[i] = false
+				changed = true
+			}
 		}
-		return
-	}
-	if c.doWrite {
+	case c.doWrite:
+		changed = !c.valid[c.pendAddr] || c.words[c.pendAddr] != c.pendData
 		c.words[c.pendAddr] = c.pendData
 		c.valid[c.pendAddr] = true
+	}
+	if changed {
+		c.changes++
+		c.gen.Set(c.changes)
 	}
 }

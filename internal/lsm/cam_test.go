@@ -6,6 +6,7 @@ import (
 
 	"embeddedmpls/internal/infobase"
 	"embeddedmpls/internal/label"
+	"embeddedmpls/internal/rtl"
 )
 
 // TestCAMLookupConstantTime pins the associative ablation's headline
@@ -33,6 +34,61 @@ func TestCAMLookupConstantTime(t *testing.T) {
 			if res.Found != wantFound {
 				t.Errorf("n=%d key=%d: found=%v", n, key, res.Found)
 			}
+		}
+	}
+}
+
+// TestCAMBankMatchFollowsItsContents pins the dependency the match logic
+// has on the bank's stored words: with the key and the entry count held
+// still, a write that makes the key present — and a clear that removes
+// it — must still move hit and addr. Nothing but the bank's generation
+// signal tells the match process that the contents changed.
+func TestCAMBankMatchFollowsItsContents(t *testing.T) {
+	sim := rtl.New()
+	wen := sim.Signal("wen", 1)
+	waddr := sim.Signal("waddr", indexBits)
+	wdata := sim.Signal("wdata", 20)
+	clr := sim.Signal("clr", 1)
+	key := sim.Signal("key", 20)
+	count := sim.Signal("count", indexBits)
+	c := newCAMBank(sim, "cam", 16, wen, waddr, wdata, clr, key, count)
+	count.Set(16)
+	key.Set(42)
+	sim.Step()
+	if c.hit.Bool() {
+		t.Fatal("hit on an empty bank")
+	}
+	waddr.Set(5)
+	wdata.Set(42)
+	wen.SetBool(true)
+	sim.Step()
+	wen.SetBool(false)
+	if !c.hit.Bool() || c.addr.Get() != 5 {
+		t.Fatalf("straight after writing the key at 5: hit=%v addr=%d", c.hit.Bool(), c.addr.Get())
+	}
+	clr.SetBool(true)
+	sim.Step()
+	clr.SetBool(false)
+	if c.hit.Bool() {
+		t.Error("hit survives a clear")
+	}
+}
+
+// TestCAMLookupStraightAfterWrite is the same at the command port: a
+// lookup issued on the edge after a write completes finds the pair.
+func TestCAMLookupStraightAfterWrite(t *testing.T) {
+	b := NewBenchWith(LSR, Options{Search: SearchCAM})
+	for i := 0; i < 5; i++ {
+		key := infobase.Key(300 + i)
+		if _, err := b.WritePair(infobase.Level2, infobase.Pair{Index: key, NewLabel: label.Label(i + 1), Op: label.OpSwap}); err != nil {
+			t.Fatal(err)
+		}
+		res, cycles, err := b.Lookup(infobase.Level2, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || res.SearchPos != i+1 || res.Label != label.Label(i+1) || cycles != CyclesSearchCAM {
+			t.Errorf("lookup of %d straight after its write: %+v in %d cycles", key, res, cycles)
 		}
 	}
 }

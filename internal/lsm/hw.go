@@ -136,6 +136,13 @@ type HW struct {
 	idxRAM [infobase.NumLevels]*rtl.RAM
 	lblRAM [infobase.NumLevels]*rtl.RAM
 	opRAM  [infobase.NumLevels]*rtl.RAM
+
+	// Internal nets the bench and the bus peripheral watch, resolved
+	// once here rather than by name per call.
+	wcnt    [infobase.NumLevels]*rtl.Signal // per-level write counters
+	wSel    *rtl.Signal                     // selected level's write count
+	camAddr *rtl.Signal                     // CAM ablation: matched address
+	rstCnt  *rtl.Signal                     // reset sequencer count
 }
 
 // New builds the paper's label stack modifier (linear search) inside a
@@ -143,6 +150,13 @@ type HW struct {
 func New() *HW { return NewWith(Options{}) }
 
 // NewWith builds a label stack modifier with the given options.
+//
+// Every process is registered with the signals it reads and drives (the
+// rtl package's sensitivity contract; the lists follow each process). The
+// combinational processes are cut where the hardware is — a mux, an
+// adder, a decoder — so that in the three-state search loop, where the
+// design spends 99 % of its cycles, only the few processes downstream of
+// the search state and the read address run.
 func NewWith(opts Options) *HW {
 	sim := rtl.New()
 	hw := &HW{Sim: sim, Opts: opts}
@@ -178,7 +192,7 @@ func NewWith(opts Options) *HW {
 	sim.Comb(func() {
 		save.SetBool(hw.Enable.Bool() && Command(hw.ExtOp.Get()) == CmdWritePair)
 		lookup.SetBool(hw.Enable.Bool() && Command(hw.ExtOp.Get()) == CmdLookup)
-	})
+	}, rtl.Sigs{hw.Enable, hw.ExtOp}, rtl.Sigs{save, lookup})
 
 	// --- control unit state registers ---------------------------------
 	hw.MainState = sim.Signal("main_state", 2)
@@ -199,12 +213,12 @@ func NewWith(opts Options) *HW {
 	// and an operation component (2 bits), each 1024 words, plus a write
 	// counter. One shared read counter addresses all levels; the level
 	// mux picks whose outputs feed the comparators.
-	wen := make([]*rtl.Signal, infobase.NumLevels)
-	wcnt := make([]*rtl.Signal, infobase.NumLevels)
-	idxRD := make([]*rtl.Signal, infobase.NumLevels)
-	lblRD := make([]*rtl.Signal, infobase.NumLevels)
-	opRD := make([]*rtl.Signal, infobase.NumLevels)
-	idxWD := make([]*rtl.Signal, infobase.NumLevels)
+	wen := make(rtl.Sigs, infobase.NumLevels)
+	wcnt := rtl.Sigs(hw.wcnt[:])
+	idxRD := make(rtl.Sigs, infobase.NumLevels)
+	lblRD := make(rtl.Sigs, infobase.NumLevels)
+	opRD := make(rtl.Sigs, infobase.NumLevels)
+	idxWD := make(rtl.Sigs, infobase.NumLevels)
 	// ibRAddr feeds every level's read port: the search counter in the
 	// paper's linear design, or the CAM's matched address.
 	ibRAddr := sim.Signal("ib_raddr", indexBits)
@@ -236,7 +250,7 @@ func NewWith(opts Options) *HW {
 		for lv := 0; lv < infobase.NumLevels; lv++ {
 			wen[lv].SetBool(writing && hw.Level.Get() == uint64(lv+1))
 		}
-	})
+	}, rtl.Sigs{hw.PacketID, hw.OldLabel, hw.IBIState, hw.Level}, join(idxWD, wen))
 
 	// --- data path: label stack, TTL counter, entry registers ---------
 	stkClr := sim.Signal("stk_clr", 1)
@@ -272,7 +286,8 @@ func NewWith(opts Options) *HW {
 	idxRDSel20 := sim.Signal("idx_rd_sel20", 20)
 	lblRDSel := sim.Signal("lbl_rd_sel", 20)
 	opRDSel := sim.Signal("op_rd_sel", 2)
-	wSel := sim.Signal("w_sel", indexBits)
+	hw.wSel = sim.Signal("w_sel", indexBits)
+	wSel := hw.wSel
 	rPlus1 := sim.Signal("r_index_plus1", indexBits)
 	aeb32 := sim.Signal("aeb_32b", 1)
 	aeb20 := sim.Signal("aeb_20b", 1)
@@ -280,9 +295,9 @@ func NewWith(opts Options) *HW {
 	match := sim.Signal("match", 1)
 	exhausted := sim.Signal("exhausted", 1)
 
+	// Level and key select.
 	sim.Comb(func() {
-		lsiActive := hw.MainState.Get() == mLblActive
-		if lsiActive {
+		if hw.MainState.Get() == mLblActive {
 			// The level and key come from the stack state: an empty
 			// stack searches level 1 by packet identifier; otherwise
 			// the top label keys level depth+1 (capped at 3).
@@ -293,10 +308,19 @@ func NewWith(opts Options) *HW {
 			selLevel.Set(hw.Level.Get())
 			key20.Set(hw.LabelLookup.Get())
 		}
+	}, rtl.Sigs{hw.MainState, hw.Stack.Size, hw.Stack.Top, hw.Level, hw.LabelLookup}, rtl.Sigs{selLevel, key20})
+	// selected is the memory bank the level mux passes: an out-of-range
+	// level selects bank 0.
+	selected := func() int {
 		lvi := int(selLevel.Get()) - 1
 		if lvi < 0 || lvi >= infobase.NumLevels {
 			lvi = 0
 		}
+		return lvi
+	}
+	// Level mux over the memory outputs and write counters.
+	sim.Comb(func() {
+		lvi := selected()
 		if lvi >= 1 {
 			idxRDSel20.Set(idxRD[lvi].Get())
 		} else {
@@ -304,10 +328,12 @@ func NewWith(opts Options) *HW {
 		}
 		lblRDSel.Set(lblRD[lvi].Get())
 		opRDSel.Set(opRD[lvi].Get())
-		wSel.Set(wcnt[lvi].Get())
-		rPlus1.Set(hw.RIndex.Get() + 1)
-		hw.WIndex.Set(wSel.Get())
-	})
+		w := wcnt[lvi].Get()
+		wSel.Set(w)
+		hw.WIndex.Set(w)
+	}, join(rtl.Sigs{selLevel}, idxRD[1:], lblRD, opRD, wcnt),
+		rtl.Sigs{idxRDSel20, lblRDSel, opRDSel, wSel, hw.WIndex})
+	sim.Comb(func() { rPlus1.Set(hw.RIndex.Get() + 1) }, rtl.Sigs{hw.RIndex}, rtl.Sigs{rPlus1})
 	rtl.Comparator(sim, hw.PacketID, idxRD[0], aeb32)
 	rtl.Comparator(sim, key20, idxRDSel20, aeb20)
 	rtl.Comparator(sim, rPlus1, wSel, aeb10)
@@ -317,9 +343,11 @@ func NewWith(opts Options) *HW {
 	// instead of the search counter.
 	camMode := hw.Opts.Search == SearchCAM
 	camHit := sim.Signal("cam_hit", 1)
-	camAddr := sim.Signal("cam_addr", indexBits)
+	hw.camAddr = sim.Signal("cam_addr", indexBits)
+	camAddr := hw.camAddr
 	if camMode {
 		banks := [infobase.NumLevels]*camBank{}
+		var hits, addrs rtl.Sigs
 		for lv := 0; lv < infobase.NumLevels; lv++ {
 			key := key20
 			if lv == 0 {
@@ -327,15 +355,14 @@ func NewWith(opts Options) *HW {
 			}
 			banks[lv] = newCAMBank(sim, "cam"+string(byte('1'+lv)), infobase.EntriesPerLevel,
 				wen[lv], wcnt[lv], idxWD[lv], hw.Reset, key, wcnt[lv])
+			hits = append(hits, banks[lv].hit)
+			addrs = append(addrs, banks[lv].addr)
 		}
 		sim.Comb(func() {
-			lvi := int(selLevel.Get()) - 1
-			if lvi < 0 || lvi >= infobase.NumLevels {
-				lvi = 0
-			}
+			lvi := selected()
 			camHit.SetBool(banks[lvi].hit.Bool())
 			camAddr.Set(banks[lvi].addr.Get())
-		})
+		}, join(rtl.Sigs{selLevel}, hits, addrs), rtl.Sigs{camHit, camAddr})
 	}
 	sim.Comb(func() {
 		st := hw.IBIState.Get()
@@ -348,26 +375,34 @@ func NewWith(opts Options) *HW {
 		default:
 			ibRAddr.Set(hw.RIndex.Get())
 		}
-	})
-	sim.Comb(func() {
-		comparing := hw.SrchState.Get() == srCompare
-		if selLevel.Get() == uint64(infobase.Level1) {
-			match.SetBool(comparing && aeb32.Bool())
-		} else {
-			match.SetBool(comparing && aeb20.Bool())
-		}
-		exhausted.SetBool(comparing && aeb10.Bool())
-	})
+	}, rtl.Sigs{hw.IBIState, hw.DataIn, camAddr, hw.RIndex}, rtl.Sigs{ibRAddr})
 
-	// Search read counter: held clear while the search module is idle,
-	// incremented when a compare misses and more entries remain.
+	// Search module decode (Figure 11's outputs), the one combinational
+	// process the search state reaches: the compare outcome, the read
+	// counter's controls — held clear while the module is idle,
+	// incremented when a compare misses and more entries remain — and the
+	// completion pulses.
 	rEn := sim.Signal("r_en", 1)
 	rClr := sim.Signal("r_clr", 1)
 	rtl.NewCounter(sim, hw.RIndex, rEn, nil, nil, nil, rClr)
 	sim.Comb(func() {
-		rClr.SetBool(hw.Reset.Bool() || hw.SrchState.Get() == srIdle)
-		rEn.SetBool(hw.SrchState.Get() == srCompare && !match.Bool() && !exhausted.Bool())
-	})
+		st := hw.SrchState.Get()
+		comparing := st == srCompare
+		hit := comparing && aeb20.Bool()
+		if selLevel.Get() == uint64(infobase.Level1) {
+			hit = comparing && aeb32.Bool()
+		}
+		last := comparing && aeb10.Bool()
+		match.SetBool(hit)
+		exhausted.SetBool(last)
+		rClr.SetBool(hw.Reset.Bool() || st == srIdle)
+		rEn.SetBool(comparing && !hit && !last)
+		done := st == srFound || st == srNotFound
+		srchDone.SetBool(done)
+		itemFound.SetBool(st == srFound)
+		hw.LookupDone.SetBool(done)
+	}, rtl.Sigs{hw.SrchState, selLevel, aeb32, aeb20, aeb10, hw.Reset},
+		rtl.Sigs{match, exhausted, rClr, rEn, srchDone, itemFound, hw.LookupDone})
 
 	// Search result registers: latch the label and operation components
 	// the cycle the compare hits ("a delay occurs so the values can
@@ -379,6 +414,10 @@ func NewWith(opts Options) *HW {
 	idxOutEn := sim.Signal("idxout_en", 1)
 	idxOutD := sim.Signal("idxout_d", 32)
 	rtl.NewRegister(sim, idxOutD, hw.IndexOut, idxOutEn, hw.Reset)
+	resReads := rtl.Sigs{hw.IBIState, match, selLevel, idxRD[0], idxRDSel20}
+	if camMode {
+		resReads = append(resReads, hw.SrchState, camHit)
+	}
 	sim.Comb(func() {
 		readLatch := hw.IBIState.Get() == ibiReadLatch
 		resEn.SetBool(match.Bool() || readLatch ||
@@ -389,7 +428,7 @@ func NewWith(opts Options) *HW {
 		} else {
 			idxOutD.Set(idxRDSel20.Get())
 		}
-	})
+	}, resReads, rtl.Sigs{resEn, idxOutEn, idxOutD})
 
 	// --- search state machine (Figure 11) ------------------------------
 	rtl.NewFSM(sim, hw.SrchState, func() uint64 {
@@ -434,14 +473,10 @@ func NewWith(opts Options) *HW {
 		default: // srFound, srNotFound
 			return srIdle
 		}
-	})
+	}, rtl.Sigs{hw.Reset, srchEnbl, wSel, camHit, match, exhausted})
 	sim.Comb(func() {
-		st := hw.SrchState.Get()
-		srchDone.SetBool(st == srFound || st == srNotFound)
-		itemFound.SetBool(st == srFound)
-		hw.LookupDone.SetBool(st == srFound || st == srNotFound)
 		srchEnbl.SetBool(hw.LSIState.Get() == lsiSearchEnable || hw.IBIState.Get() == ibiSearchEnable)
-	})
+	}, rtl.Sigs{hw.LSIState, hw.IBIState}, rtl.Sigs{srchEnbl})
 
 	// --- information base interface (Figure 10) ------------------------
 	rtl.NewFSM(sim, hw.IBIState, func() uint64 {
@@ -475,11 +510,11 @@ func NewWith(opts Options) *HW {
 		default: // ibiDone
 			return ibiIdle
 		}
-	})
+	}, rtl.Sigs{hw.Reset, hw.MainState, hw.ExtOp, srchDone})
 	sim.Comb(func() {
 		st := hw.IBIState.Get()
 		ibiDoneSig.SetBool(st == ibiWritePair || st == ibiDone)
-	})
+	}, rtl.Sigs{hw.IBIState}, rtl.Sigs{ibiDoneSig})
 
 	// --- label stack interface (Figure 9) -------------------------------
 	verifyDiscard := sim.Signal("verify_discard", 1)
@@ -496,7 +531,7 @@ func NewWith(opts Options) *HW {
 			(!had && op != label.OpPush) ||
 			(op == label.OpPush && int(hw.Stack.Size.Get())+growth > label.MaxDepth)
 		verifyDiscard.SetBool(bad)
-	})
+	}, rtl.Sigs{hw.OperationOut, hadTop, hw.TTLQ, hw.RtrType, hw.Stack.Size}, rtl.Sigs{verifyDiscard})
 
 	rtl.NewFSM(sim, hw.LSIState, func() uint64 {
 		if hw.Reset.Bool() {
@@ -556,11 +591,11 @@ func NewWith(opts Options) *HW {
 		default: // lsiDone
 			return lsiIdle
 		}
-	})
+	}, rtl.Sigs{hw.Reset, hw.MainState, hw.ExtOp, srchDone, itemFound, verifyDiscard, hw.OperationOut})
 	sim.Comb(func() {
 		st := hw.LSIState.Get()
 		lsiDoneSig.SetBool(st == lsiUserPush || st == lsiUserPop || st == lsiDone)
-	})
+	}, rtl.Sigs{hw.LSIState}, rtl.Sigs{lsiDoneSig})
 
 	// Data path control decode for the label stack interface.
 	sim.Comb(func() {
@@ -607,7 +642,10 @@ func NewWith(opts Options) *HW {
 			cos = uint64(label.Unpack(uint32(oldQ.Get())).CoS)
 		}
 		newD.Set(hw.LabelOut.Get()<<12 | cos<<9 | hw.TTLQ.Get())
-	})
+	}, rtl.Sigs{hw.LSIState, hadTop, hw.Reset, hw.Stack.Size, hw.Stack.Top, oldQ, newQ,
+		hw.TTLQ, hw.DataIn, hw.TTLIn, hw.CoSIn, hw.LabelOut},
+		rtl.Sigs{stkClr, stkPop, stkPush, stkSetTTL, stkDin, ttlLd, ttlD, ttlDown, ttlEn,
+			oldEn, hadTopD, newEn, newD})
 
 	// --- main interface controller (Figure 8) ---------------------------
 	rtl.NewFSM(sim, hw.MainState, func() uint64 {
@@ -636,19 +674,20 @@ func NewWith(opts Options) *HW {
 			}
 			return mIBActive
 		}
-	})
+	}, rtl.Sigs{hw.Reset, hw.Enable, hw.ExtOp, lsiDoneSig, ibiDoneSig})
 
 	// --- completion and discard flags -----------------------------------
 	// The reset sequencer takes three cycles: two to clear the data path,
 	// one to pulse done.
-	rstCnt := sim.Signal("rst_cnt", 2)
+	hw.rstCnt = sim.Signal("rst_cnt", 2)
+	rstCnt := hw.rstCnt
 	rstEn := sim.Signal("rst_en", 1)
 	rstClr := sim.Signal("rst_clr", 1)
 	rtl.NewCounter(sim, rstCnt, rstEn, nil, nil, nil, rstClr)
 	sim.Comb(func() {
 		rstEn.SetBool(hw.Reset.Bool() && rstCnt.Get() < 2)
 		rstClr.SetBool(!hw.Reset.Bool())
-	})
+	}, rtl.Sigs{hw.Reset, rstCnt}, rtl.Sigs{rstEn, rstClr})
 
 	doneD := sim.Signal("done_d", 1)
 	rtl.NewRegister(sim, doneD, hw.Done, nil, nil)
@@ -656,7 +695,7 @@ func NewWith(opts Options) *HW {
 		doneD.SetBool((hw.MainState.Get() == mLblActive && lsiDoneSig.Bool()) ||
 			(hw.MainState.Get() == mIBActive && ibiDoneSig.Bool()) ||
 			(hw.Reset.Bool() && rstCnt.Get() == 2))
-	})
+	}, rtl.Sigs{hw.MainState, lsiDoneSig, ibiDoneSig, hw.Reset, rstCnt}, rtl.Sigs{doneD})
 
 	// packetdiscard: sticky per command — set by a failed search or a
 	// discard state, cleared when the next command starts.
@@ -665,15 +704,27 @@ func NewWith(opts Options) *HW {
 	pdClr := sim.Signal("pd_clr", 1)
 	rtl.NewRegister(sim, pdD, hw.PacketDiscard, pdEn, pdClr)
 	sim.Comb(func() {
-		set := hw.SrchState.Get() == srNotFound || hw.LSIState.Get() == lsiDiscard
+		// The search module's not-found state, read off its pulses so
+		// that the search loop's state changes do not reach this process.
+		notFound := srchDone.Bool() && !itemFound.Bool()
+		set := notFound || hw.LSIState.Get() == lsiDiscard
 		pdD.SetBool(true)
 		pdEn.SetBool(set)
 		pdClr.SetBool(hw.Reset.Bool() ||
 			(hw.MainState.Get() == mIdle && hw.Enable.Bool() && !set))
-	})
+	}, rtl.Sigs{srchDone, itemFound, hw.LSIState, hw.Reset, hw.MainState, hw.Enable}, rtl.Sigs{pdD, pdEn, pdClr})
 
 	sim.Settle()
 	return hw
+}
+
+// join concatenates signal lists for a sensitivity declaration.
+func join(lists ...rtl.Sigs) rtl.Sigs {
+	var out rtl.Sigs
+	for _, l := range lists {
+		out = append(out, l...)
+	}
+	return out
 }
 
 // SearchFound reports whether the search module is presenting a hit this
@@ -681,13 +732,17 @@ func NewWith(opts Options) *HW {
 // status register latches.
 func (hw *HW) SearchFound() bool { return hw.SrchState.Get() == srFound }
 
+// WriteCount returns the number of pairs stored at level lv (the level's
+// write counter), which must be valid.
+func (hw *HW) WriteCount(lv infobase.Level) int { return int(hw.wcnt[lv-1].Get()) }
+
 // InfoBaseSnapshot reads the information base memories into a software
 // store copy (the first count entries of each level), for test-bench
 // verification.
 func (hw *HW) InfoBaseSnapshot() infobase.Store {
 	b := infobase.New()
 	for lv := 0; lv < infobase.NumLevels; lv++ {
-		n := int(hw.Sim.Lookup("ib_wcnt_" + string(byte('1'+lv))).Get())
+		n := hw.WriteCount(infobase.Level(lv + 1))
 		for i := 0; i < n && i < infobase.EntriesPerLevel; i++ {
 			p := infobase.Pair{
 				Index:    infobase.Key(hw.idxRAM[lv].Peek(i)),

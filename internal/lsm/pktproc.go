@@ -71,7 +71,7 @@ func NewPktProc(rtype RouterType, opts Options) *PktProc {
 	// Output capture registers: during the pop phase the current top is
 	// latched just before each pop commits. Pops run top-down, so entry
 	// (outCount-1-idx) is captured at step idx.
-	outEn := make([]*rtl.Signal, label.MaxDepth)
+	outEn := make(rtl.Sigs, label.MaxDepth)
 	outD := sim.Signal("pp_out_d", 32)
 	for i := 0; i < label.MaxDepth; i++ {
 		outEn[i] = sim.Signal("pp_out_en_"+string(byte('0'+i)), 1)
@@ -138,7 +138,7 @@ func NewPktProc(rtype RouterType, opts Options) *PktProc {
 		default: // ppDone
 			return ppIdle
 		}
-	})
+	}, rtl.Sigs{hw.Reset, p.Start, p.InCount, p.phase, p.idx, hw.Done, updStarted, hw.Stack.Size})
 
 	// Command port and counter control.
 	sim.Comb(func() {
@@ -197,7 +197,10 @@ func NewPktProc(rtype RouterType, opts Options) *PktProc {
 		updClr.SetBool(st != ppUpdate)
 
 		p.Ready.SetBool(st == ppDone)
-	})
+	}, join(rtl.Sigs{p.state, p.phase, p.idx, hw.Done, updStarted, hw.Stack.Size, hw.Stack.Top, hw.MainState},
+		p.InWord[:]),
+		join(rtl.Sigs{phEn, phClr, idxEn, idxClr, hw.Enable, hw.ExtOp, hw.DataIn, outD, outCntEn, outCntD,
+			updD, updEn, updClr, p.Ready}, outEn))
 
 	sim.Settle()
 	return p
@@ -233,7 +236,7 @@ func (p *PktProc) Process(stack []label.Entry, packetID uint32, ttlIn uint8, cos
 
 	p.Start.SetBool(true)
 	max := searchPerEntry*1024 + 128
-	cycles, ok := hw.Sim.StepUntil(func() bool { return p.Ready.Bool() }, max)
+	cycles, ok := hw.Sim.StepUntilSet(p.Ready, max)
 	p.Start.SetBool(false)
 	if !ok {
 		return nil, false, cycles, ErrTimeout

@@ -151,3 +151,27 @@ func TestPktProcMatchesDeviceModelCycles(t *testing.T) {
 		}
 	}
 }
+
+// stackSink keeps a measured allocation on the heap.
+var stackSink *label.Stack
+
+// TestPktProcProcessAllocatesOnlyItsResult pins the per-packet path of
+// the simulator: stepping a packet through allocates nothing — no
+// closure, no name lookup, no scratch — so what Process allocates is
+// what building the stack it returns allocates.
+func TestPktProcProcessAllocatesOnlyItsResult(t *testing.T) {
+	p := NewPktProc(LSR, Options{})
+	writePairPP(t, p, infobase.Level2, infobase.Pair{Index: 42, NewLabel: 42, Op: label.OpSwap})
+
+	// A discarded packet comes back as an empty stack: one object.
+	miss := []label.Entry{{Label: 99, TTL: 64}}
+	if n := testing.AllocsPerRun(50, func() { _, _, _, _ = p.Process(miss, 0, 0, 0) }); n > 1 {
+		t.Errorf("Process of a discarded packet allocates %v times, want at most 1", n)
+	}
+	// A forwarded one carries entries: no more than NewStack needs.
+	hit := []label.Entry{{Label: 42, TTL: 64}}
+	stack := testing.AllocsPerRun(50, func() { stackSink, _ = label.NewStack(hit...) })
+	if n := testing.AllocsPerRun(50, func() { _, _, _, _ = p.Process(hit, 0, 0, 0) }); n > stack {
+		t.Errorf("Process allocates %v times, building its result takes %v", n, stack)
+	}
+}

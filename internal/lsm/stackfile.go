@@ -21,7 +21,9 @@ import (
 //	SetTTL  — rewrite the TTL of the (possibly new) top entry with TTLIn
 //
 // Outputs (combinational): Top (packed 32-bit top entry, 0 when empty)
-// and Size.
+// and Size. Every change of the stored entries that a later edge could
+// observe moves one of them, which is what lets the simulator skip the
+// file on edges where neither they nor the controls moved.
 type StackFile struct {
 	Clr    *rtl.Signal
 	Push   *rtl.Signal
@@ -50,7 +52,7 @@ func NewStackFile(sim *rtl.Simulator, prefix string, clr, push, pop, setTTL, din
 		Top:  sim.Signal(prefix+"top", 32),
 		Size: sim.Signal(prefix+"size", 2),
 	}
-	sim.Add(s)
+	sim.Add(s, rtl.Sigs{clr, push, pop, setTTL, din, ttlIn}, rtl.Sigs{s.Top, s.Size})
 	return s
 }
 

@@ -133,6 +133,24 @@ func TestStackFilePopPushSameEdgeIsReplace(t *testing.T) {
 
 // TestCostModelProperties uses testing/quick to pin algebraic properties
 // of the cycle cost model.
+func TestStackFileBackToBackPushesWithControlsHeld(t *testing.T) {
+	// Push and Din held across three edges: each edge must push again,
+	// although from the second on no input of the file has moved (and
+	// from the second to the third push not even Top does).
+	b := newStackBench()
+	b.din.Set(uint64(label.Entry{Label: 7, TTL: 9}.MustPack()))
+	b.push.SetBool(true)
+	for want := uint64(1); want <= label.MaxDepth; want++ {
+		b.sim.Step()
+		if b.sf.Size.Get() != want {
+			t.Fatalf("after %d edges with push held, size = %d", want, b.sf.Size.Get())
+		}
+	}
+	if st := b.sf.Snapshot(); !st.Consistent() || st.Depth() != label.MaxDepth {
+		t.Errorf("stack after held pushes: %v", st)
+	}
+}
+
 func TestCostModelProperties(t *testing.T) {
 	// Search cost is affine with slope 3 and intercept 5, and never
 	// negative even for nonsense positions.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"embeddedmpls/internal/infobase"
 	"embeddedmpls/internal/lsm"
 )
 
@@ -164,7 +165,7 @@ func (p *Peripheral) Read(addr uint32) (uint32, error) {
 		if lv < 1 || lv > 3 {
 			return 0, fmt.Errorf("%w: write count needs a valid level, have %d", ErrBadAddress, lv)
 		}
-		return uint32(hw.Sim.Lookup("ib_wcnt_" + string(byte('0'+lv))).Get()), nil
+		return uint32(hw.WriteCount(infobase.Level(lv))), nil
 	default:
 		return 0, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 	}

@@ -7,49 +7,42 @@ import "fmt"
 // label stack modifier data path. Clr wins over En; with En nil the
 // register loads every cycle.
 type Register struct {
+	proc
 	D   *Signal // data in
 	Q   *Signal // data out
 	En  *Signal // load enable (nil: always load)
 	Clr *Signal // synchronous clear (nil: never)
-
-	next uint64
 }
 
 // NewRegister builds a register and adds it to the simulator.
 func NewRegister(sim *Simulator, d, q, en, clr *Signal) *Register {
 	r := &Register{D: d, Q: q, En: en, Clr: clr}
-	sim.Add(r)
+	sim.addClocked(r, "register", Sigs{d, q, en, clr}, Sigs{q})
 	return r
 }
 
-// Latch captures the next value from the settled inputs.
-func (r *Register) Latch() {
+// clock captures the next value from the settled inputs.
+func (r *Register) clock(sim *Simulator) {
 	switch {
 	case r.Clr != nil && r.Clr.Bool():
-		r.next = 0
+		sim.deferSet(r.Q, 0)
 	case r.En == nil || r.En.Bool():
-		r.next = r.D.Get()
-	default:
-		r.next = r.Q.Get()
+		sim.deferSet(r.Q, r.D.Get())
 	}
 }
-
-// Commit drives the register output.
-func (r *Register) Commit() { r.Q.Set(r.next) }
 
 // Counter is an up/down counter with load and synchronous clear — the
 // data path uses counters for the TTL, the stack item count, and the
 // information base read/write addresses. Priority: Clr, then Ld, then En.
 // Down counts saturate at zero (the TTL counter must not wrap).
 type Counter struct {
+	proc
 	Q    *Signal // current count
 	En   *Signal // count enable
 	Down *Signal // direction: 0 increments, 1 decrements (nil: always up)
 	Ld   *Signal // load enable (nil: never)
 	D    *Signal // load value (required when Ld is set)
 	Clr  *Signal // synchronous clear (nil: never)
-
-	next uint64
 }
 
 // NewCounter builds a counter and adds it to the simulator.
@@ -58,35 +51,26 @@ func NewCounter(sim *Simulator, q, en, down, ld, d, clr *Signal) *Counter {
 		panic("rtl: counter with a load enable needs a load value signal")
 	}
 	c := &Counter{Q: q, En: en, Down: down, Ld: ld, D: d, Clr: clr}
-	sim.Add(c)
+	sim.addClocked(c, "counter", Sigs{q, en, down, ld, d, clr}, Sigs{q})
 	return c
 }
 
-// Latch computes the next count.
-func (c *Counter) Latch() {
-	cur := c.Q.Get()
+// clock computes the next count.
+func (c *Counter) clock(sim *Simulator) {
 	switch {
 	case c.Clr != nil && c.Clr.Bool():
-		c.next = 0
+		sim.deferSet(c.Q, 0)
 	case c.Ld != nil && c.Ld.Bool():
-		c.next = c.D.Get()
+		sim.deferSet(c.Q, c.D.Get())
 	case c.En != nil && c.En.Bool():
-		if c.Down != nil && c.Down.Bool() {
-			if cur > 0 {
-				c.next = cur - 1
-			} else {
-				c.next = 0
-			}
-		} else {
-			c.next = cur + 1
+		cur := c.Q.Get()
+		if c.Down == nil || !c.Down.Bool() {
+			sim.deferSet(c.Q, cur+1)
+		} else if cur > 0 {
+			sim.deferSet(c.Q, cur-1)
 		}
-	default:
-		c.next = cur
 	}
 }
-
-// Commit drives the counter output.
-func (c *Counter) Commit() { c.Q.Set(c.next) }
 
 // RAM is a synchronous-read, synchronous-write memory block like the
 // index/label/operation components of the information base: the word
@@ -94,17 +78,14 @@ func (c *Counter) Commit() { c.Q.Set(c.next) }
 // with WEn high lands on the same edge. A simultaneous read of the word
 // being written returns the old contents (read-before-write ports).
 type RAM struct {
+	proc
 	RAddr *Signal // read address
 	RData *Signal // read data, 1-cycle latency
 	WAddr *Signal // write address
 	WData *Signal // write data
 	WEn   *Signal // write enable
 
-	mem       []uint64
-	nextRData uint64
-	doWrite   bool
-	wAddr     uint64
-	wData     uint64
+	mem []uint64
 }
 
 // NewRAM builds a memory with the given number of words and adds it to
@@ -115,7 +96,7 @@ func NewRAM(sim *Simulator, words int, raddr, rdata, waddr, wdata, wen *Signal) 
 	}
 	m := &RAM{RAddr: raddr, RData: rdata, WAddr: waddr, WData: wdata, WEn: wen,
 		mem: make([]uint64, words)}
-	sim.Add(m)
+	sim.addClocked(m, "RAM", Sigs{raddr, waddr, wdata, wen}, Sigs{rdata})
 	return m
 }
 
@@ -126,23 +107,30 @@ func (m *RAM) Words() int { return len(m.mem) }
 // test benches use it to verify contents.
 func (m *RAM) Peek(addr int) uint64 { return m.mem[addr] }
 
-// Latch samples the read and write ports. Out-of-range addresses wrap,
-// as the address bits of a physical memory would.
-func (m *RAM) Latch() {
-	m.nextRData = m.mem[m.RAddr.Get()%uint64(len(m.mem))]
-	m.doWrite = m.WEn.Bool()
-	if m.doWrite {
-		m.wAddr = m.WAddr.Get() % uint64(len(m.mem))
-		m.wData = m.WData.Get()
+// clock samples the read port, then applies the write: no other process
+// sees the stored words, so the write need not wait for the end of the
+// edge. Out-of-range addresses wrap, as the address bits of a physical
+// memory would.
+func (m *RAM) clock(sim *Simulator) {
+	sim.deferSet(m.RData, m.mem[m.wrap(m.RAddr.Get())])
+	if m.WEn.Bool() {
+		a, d := m.wrap(m.WAddr.Get()), m.WData.Get()
+		if m.mem[a] != d {
+			m.mem[a] = d
+			// No signal carries the stored words: with the ports held,
+			// the next edge may still read the word just written.
+			sim.dirty[m.word] |= m.bit
+		}
 	}
 }
 
-// Commit applies the write and presents the read data.
-func (m *RAM) Commit() {
-	if m.doWrite {
-		m.mem[m.wAddr] = m.wData
+// wrap reduces an address to the memory's range; the division is kept off
+// the in-range path.
+func (m *RAM) wrap(addr uint64) uint64 {
+	if n := uint64(len(m.mem)); addr >= n {
+		addr %= n
 	}
-	m.RData.Set(m.nextRData)
+	return addr
 }
 
 // Comparator registers a combinational equality comparator driving eq
@@ -150,28 +138,25 @@ func (m *RAM) Commit() {
 // identifier vs level-1 index), 20-bit (label vs level-2/3 index) and
 // 10-bit (read vs write memory address).
 func Comparator(sim *Simulator, a, b, eq *Signal) {
-	sim.Comb(func() { eq.SetBool(a.Get() == b.Get()) })
+	sim.Comb(func() { eq.SetBool(a.Get() == b.Get()) }, Sigs{a, b}, Sigs{eq})
 }
 
 // FSM is a finite state machine: a state register whose next value is an
 // arbitrary function of the settled signals. Moore outputs are expressed
 // as separate Comb processes reading State.
 type FSM struct {
+	proc
 	State *Signal
 	Next  func() uint64
-
-	next uint64
 }
 
-// NewFSM builds a state machine and adds it to the simulator.
-func NewFSM(sim *Simulator, state *Signal, next func() uint64) *FSM {
+// NewFSM builds a state machine and adds it to the simulator. next must
+// be a pure function of state and the signals in reads.
+func NewFSM(sim *Simulator, state *Signal, next func() uint64, reads Sigs) *FSM {
 	f := &FSM{State: state, Next: next}
-	sim.Add(f)
+	sim.addClocked(f, "FSM", append(Sigs{state}, reads...), Sigs{state})
 	return f
 }
 
-// Latch computes the next state.
-func (f *FSM) Latch() { f.next = f.Next() }
-
-// Commit enters the next state.
-func (f *FSM) Commit() { f.State.Set(f.next) }
+// clock computes the next state.
+func (f *FSM) clock(sim *Simulator) { sim.deferSet(f.State, f.Next()) }

@@ -1,6 +1,10 @@
 package rtl
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestSignalMasking(t *testing.T) {
 	sim := New()
@@ -57,24 +61,120 @@ func TestCombSettlesChains(t *testing.T) {
 	a := sim.Signal("a", 8)
 	b := sim.Signal("b", 8)
 	c := sim.Signal("c", 8)
-	// Deliberately register dependent combs in reverse order to force the
-	// fixed-point loop to iterate: c = b + 1, b = a + 1.
-	sim.Comb(func() { c.Set(b.Get() + 1) })
-	sim.Comb(func() { b.Set(a.Get() + 1) })
+	// Deliberately register dependent combs in reverse order, so that
+	// registration order is not level order: c = b + 1, b = a + 1.
+	evals := 0
+	sim.Comb(func() { evals++; c.Set(b.Get() + 1) }, Sigs{b}, Sigs{c})
+	sim.Comb(func() { evals++; b.Set(a.Get() + 1) }, Sigs{a}, Sigs{b})
+	sim.Settle()
+	evals = 0
 	a.Set(5)
 	sim.Settle()
 	if b.Get() != 6 || c.Get() != 7 {
 		t.Errorf("settled b=%d c=%d, want 6, 7", b.Get(), c.Get())
 	}
+	if evals != 2 {
+		t.Errorf("%d evaluations for a two-comb chain, want each comb once", evals)
+	}
+	sim.Settle()
+	if evals != 2 {
+		t.Errorf("Settle with nothing changed evaluated %d combs", evals-2)
+	}
+}
+
+// panicMessage runs f and returns what it panicked with ("" if it
+// returned).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 func TestCombinationalCyclePanics(t *testing.T) {
+	// The loop is found when the process that closes it is registered,
+	// not after a bounded number of passes at run time, and the message
+	// names the signals on it.
 	sim := New()
 	a := sim.Signal("a", 8)
 	b := sim.Signal("b", 8)
-	sim.Comb(func() { a.Set(b.Get() + 1) })
-	sim.Comb(func() { b.Set(a.Get() + 1) })
-	assertPanics(t, "comb cycle", sim.Settle)
+	c := sim.Signal("c", 8)
+	in := sim.Signal("outside", 8)
+	sim.Comb(func() { a.Set(b.Get() + in.Get()) }, Sigs{b, in}, Sigs{a})
+	sim.Comb(func() { c.Set(a.Get() + 1) }, Sigs{a}, Sigs{c})
+	msg := panicMessage(func() {
+		sim.Comb(func() { b.Set(c.Get() + 1) }, Sigs{c}, Sigs{b})
+	})
+	if !strings.Contains(msg, "combinational loop") {
+		t.Fatalf("registering the closing comb: panic %q, want a combinational loop", msg)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if !strings.Contains(msg, " "+name) {
+			t.Errorf("loop message %q does not name signal %q", msg, name)
+		}
+	}
+	if strings.Contains(msg, "outside") {
+		t.Errorf("loop message %q names a signal that is not on the loop", msg)
+	}
+
+	// A comb that reads what it drives is the shortest loop.
+	sim = New()
+	x := sim.Signal("x", 8)
+	msg = panicMessage(func() { sim.Comb(func() { x.Set(x.Get() + 1) }, Sigs{x}, Sigs{x}) })
+	if !strings.Contains(msg, "combinational loop") || !strings.Contains(msg, "x") {
+		t.Errorf("self-loop: panic %q", msg)
+	}
+}
+
+func TestTwoDriversPanic(t *testing.T) {
+	sim := New()
+	a := sim.Signal("a", 8)
+	q := sim.Signal("q", 8)
+	sim.Comb(func() { q.Set(a.Get()) }, Sigs{a}, Sigs{q})
+	msg := panicMessage(func() { NewRegister(sim, a, q, nil, nil) })
+	if !strings.Contains(msg, "two drivers") || !strings.Contains(msg, `"q"`) {
+		t.Errorf("second driver of q: panic %q", msg)
+	}
+}
+
+func TestCheckSensitivity(t *testing.T) {
+	sim := New()
+	a := sim.Signal("a", 8)
+	b := sim.Signal("b", 8)
+	hidden := sim.Signal("hidden", 8)
+	// b's comb also reads hidden, which it did not declare: without the
+	// check a change of hidden alone goes unseen.
+	sim.Comb(func() { b.Set(a.Get() + hidden.Get()) }, Sigs{a}, Sigs{b})
+	sim.Settle()
+	hidden.Set(1)
+	sim.Settle()
+	if b.Get() != 0 {
+		t.Fatalf("b=%d: the undeclared read was scheduled after all", b.Get())
+	}
+	sim.CheckSensitivity()
+	a.Set(1)
+	msg := panicMessage(sim.Settle)
+	if !strings.Contains(msg, `"hidden"`) || !strings.Contains(msg, "sensitivity") {
+		t.Errorf("undeclared read: panic %q", msg)
+	}
+
+	sim = New()
+	a = sim.Signal("a", 8)
+	b = sim.Signal("b", 8)
+	stray := sim.Signal("stray", 8)
+	sim.Comb(func() { b.Set(a.Get()); stray.Set(0) }, Sigs{a}, Sigs{b})
+	sim.CheckSensitivity()
+	// Test benches are not processes: they may touch anything.
+	stray.Set(3)
+	_ = stray.Get()
+	a.Set(1)
+	msg = panicMessage(sim.Settle)
+	if !strings.Contains(msg, `"stray"`) || !strings.Contains(msg, "did not declare") {
+		t.Errorf("undeclared drive: panic %q", msg)
+	}
 }
 
 func TestRegisterLoadEnableClear(t *testing.T) {
@@ -240,6 +340,57 @@ func TestRAMReadBeforeWrite(t *testing.T) {
 	}
 }
 
+func TestRAMReadsWordJustWrittenWithPortsHeld(t *testing.T) {
+	// The first edge reads the old word and writes the new one. Nothing
+	// on any port moves afterwards, yet the second edge must read what
+	// the first wrote: stored words are state no signal carries.
+	sim := New()
+	raddr := sim.Signal("raddr", 4)
+	rdata := sim.Signal("rdata", 8)
+	waddr := sim.Signal("waddr", 4)
+	wdata := sim.Signal("wdata", 8)
+	wen := sim.Signal("wen", 1)
+	NewRAM(sim, 16, raddr, rdata, waddr, wdata, wen)
+	raddr.Set(3)
+	waddr.Set(3)
+	wdata.Set(9)
+	wen.SetBool(true)
+	sim.Step()
+	if rdata.Get() != 0 {
+		t.Fatalf("first edge read %d, want the old word 0", rdata.Get())
+	}
+	sim.Step()
+	if rdata.Get() != 9 {
+		t.Errorf("second edge, ports held: read %d, want the word just written (9)", rdata.Get())
+	}
+}
+
+func TestIdleComponentsAreNotClocked(t *testing.T) {
+	// The point of the event-driven edge: a state machine whose inputs
+	// and state hold still is not evaluated, and is again once one moves.
+	sim := New()
+	state := sim.Signal("state", 2)
+	start := sim.Signal("start", 1)
+	evals := 0
+	NewFSM(sim, state, func() uint64 {
+		evals++
+		if start.Bool() {
+			return 1
+		}
+		return 0
+	}, Sigs{start})
+	sim.Run(5)
+	if evals != 1 {
+		t.Errorf("idle FSM evaluated %d times in 5 cycles, want once (the first edge)", evals)
+	}
+	start.SetBool(true)
+	sim.Run(5)
+	// The edge after start rose, and the one after the state moved.
+	if evals != 3 || state.Get() != 1 {
+		t.Errorf("after start: %d evaluations, state %d; want 3 and 1", evals, state.Get())
+	}
+}
+
 func TestRAMAddressWrapsAndSizePanics(t *testing.T) {
 	sim := New()
 	raddr := sim.Signal("raddr", 8)
@@ -299,8 +450,8 @@ func TestFSMStepsThroughStates(t *testing.T) {
 		default:
 			return idle
 		}
-	})
-	sim.Comb(func() { busy.SetBool(state.Get() == work) })
+	}, Sigs{start})
+	sim.Comb(func() { busy.SetBool(state.Get() == work) }, Sigs{state}, Sigs{busy})
 
 	sim.Step()
 	if state.Get() != idle {
@@ -321,19 +472,24 @@ func TestFSMStepsThroughStates(t *testing.T) {
 	}
 }
 
-func TestStepUntil(t *testing.T) {
+func TestStepUntilSet(t *testing.T) {
 	sim := New()
 	q := sim.Signal("q", 8)
 	en := sim.Signal("en", 1)
+	five := sim.Signal("five", 8)
+	atFive := sim.Signal("at_five", 1)
+	never := sim.Signal("never", 1)
 	NewCounter(sim, q, en, nil, nil, nil, nil)
+	Comparator(sim, q, five, atFive)
+	five.Set(5)
 	en.SetBool(true)
-	cycles, ok := sim.StepUntil(func() bool { return q.Get() == 5 }, 100)
+	cycles, ok := sim.StepUntilSet(atFive, 100)
 	if !ok || cycles != 5 {
-		t.Errorf("StepUntil: cycles=%d ok=%v, want 5, true", cycles, ok)
+		t.Errorf("StepUntilSet: cycles=%d ok=%v, want 5, true", cycles, ok)
 	}
-	_, ok = sim.StepUntil(func() bool { return false }, 3)
+	_, ok = sim.StepUntilSet(never, 3)
 	if ok {
-		t.Error("StepUntil reported success for an unreachable condition")
+		t.Error("StepUntilSet reported success for a signal that never rises")
 	}
 	if sim.Cycle() != 8 {
 		t.Errorf("Cycle()=%d, want 8", sim.Cycle())

@@ -18,7 +18,7 @@ func buildCounterBench(t *testing.T) (*rtl.Simulator, *Tracer) {
 	en := sim.Signal("en", 1)
 	done := sim.Signal("done", 1)
 	rtl.NewCounter(sim, q, en, nil, nil, nil, nil)
-	sim.Comb(func() { done.SetBool(q.Get() == 5) })
+	sim.Comb(func() { done.SetBool(q.Get() == 5) }, rtl.Sigs{q}, rtl.Sigs{done})
 	en.SetBool(true)
 	return sim, NewTracer(sim, q, en, done)
 }
