@@ -426,9 +426,9 @@ func (e *Engine) ProcessPacket(p *packet.Packet) swmpls.Result {
 
 // worker drains one shard until the engine closes and the queue empties.
 // The table snapshot, trace sink and egress sink are loaded once per
-// batch — the batching amortises the atomic loads — and the
-// worker-private flow cache is revalidated against the snapshot at the
-// same point. Processed packets stage into the worker's egress rings;
+// batch, after the batch was taken off the queue — the batching
+// amortises the atomic loads — and the worker-private flow cache is
+// revalidated against the snapshot at the same point. Processed packets stage into the worker's egress rings;
 // while anything is staged the worker polls the queue instead of
 // parking on it, so an idle interval flushes the rings (trigger=timer)
 // and a closed, drained queue flushes them one last time
@@ -445,7 +445,6 @@ func (e *Engine) worker(id int, s *shard) {
 	var acc batchAcc
 	st := newEgressStage(s, e.egressN)
 	for {
-		sink := e.loadEgress()
 		if st.pending == 0 {
 			// Nothing staged: park on the queue like any blocking
 			// consumer. A nil return means closed and drained.
@@ -457,7 +456,7 @@ func (e *Engine) worker(id int, s *shard) {
 			var stop bool
 			batch, stop = s.tryDrain(batch[:0], e.batch)
 			if stop {
-				st.flushAll(sink, egressTriggerClose)
+				st.flushAll(e.loadEgress(), egressTriggerClose)
 				return
 			}
 			if len(batch) == 0 {
@@ -469,15 +468,19 @@ func (e *Engine) worker(id int, s *shard) {
 				s.waitArrival(e.egressIvl)
 				batch, stop = s.tryDrain(batch[:0], e.batch)
 				if stop {
-					st.flushAll(sink, egressTriggerClose)
+					st.flushAll(e.loadEgress(), egressTriggerClose)
 					return
 				}
 				if len(batch) == 0 {
-					st.flushAll(sink, egressTriggerTimer)
+					st.flushAll(e.loadEgress(), egressTriggerTimer)
 					continue
 				}
 			}
 		}
+		// Loaded once the batch is in hand, not before parking for it: a
+		// worker that parked before SetEgress must not process the batch
+		// that wakes it against the sink it saw then.
+		sink := e.loadEgress()
 		if h := e.stallHook.Load(); h != nil {
 			(*h)(id)
 		}

@@ -249,3 +249,46 @@ func TestEgressCloseUnderFire(t *testing.T) {
 		}
 	}
 }
+
+// TestSetEgressFirstBatchDelivered: a worker parked on its empty queue
+// when the sink is attached must hand the batch that wakes it to that
+// sink. It used to load the sink before parking, so the first batch per
+// shard after SetEgress went to the stale nil sink and was lost.
+func TestSetEgressFirstBatchDelivered(t *testing.T) {
+	const workers, perShard = 4, 5
+	e := New(WithWorkers(workers), WithEgressFlush(perShard, time.Hour))
+	defer e.Close()
+	if err := e.InstallILM(100, swapNHLFE(200, "b")); err != nil {
+		t.Fatal(err)
+	}
+	// One packet through every shard with no sink: once it is accounted,
+	// that worker has been round its loop and is parking again.
+	for i := 0; i < workers; i++ {
+		e.Submit([]*packet.Packet{labelled(100, 0, 0)}, SubmitOpts{Wait: true, Pin: true, Shard: i})
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if snap := e.Snapshot(); snap.Processed() >= workers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("workers did not take the sinkless packets")
+		}
+	}
+	time.Sleep(time.Millisecond) // from "accounted" to "parked" is a few instructions
+
+	tl := &tally{}
+	e.SetEgress(tl)
+	for i := 0; i < workers; i++ {
+		batch := make([]*packet.Packet, perShard)
+		for j := range batch {
+			batch[j] = labelled(100, uint16(j), uint64(j))
+		}
+		if got := e.Submit(batch, SubmitOpts{Wait: true, Pin: true, Shard: i}); got != perShard {
+			t.Fatalf("shard %d accepted %d of %d", i, got, perShard)
+		}
+	}
+	e.Close()
+	if fwd, _, _ := tl.totals(); fwd != workers*perShard {
+		t.Errorf("sink received %d of %d packets submitted after SetEgress", fwd, workers*perShard)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/packet"
-	"embeddedmpls/internal/telemetry"
 	"embeddedmpls/internal/transport"
 )
 
@@ -14,7 +13,8 @@ import (
 // a guard with every check enabled. Whatever the bytes, the guard must
 // neither panic nor let a packet through that violates an enabled
 // invariant, and every call must account as exactly one admit or one
-// drop.
+// drop — and the mutex implementation kept as the reference must agree
+// with every verdict.
 func FuzzGuardAdmit(f *testing.F) {
 	// Seeds mirror the transport fuzz corpus: a well-formed labelled
 	// packet, a well-formed unlabelled packet, truncations and bit
@@ -43,22 +43,27 @@ func FuzzGuardAdmit(f *testing.F) {
 	f.Add([]byte("not a packet at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		clk := &manualClock{}
-		g := New(WithClock(clk.now), WithControlFlows(ctrlFlow),
-			WithDefaultPolicy(Policy{
-				SpoofFilter:         true,
-				MinTTL:              2,
-				RatePPS:             1e6,
-				Burst:               1 << 16,
-				QuarantineThreshold: 4,
-			}))
-		g.Advertise("peer", 100)
-
+		// The lock-free guard and the mutex reference see the same
+		// datagrams; pr.verdict fails on the first verdict, drop counter
+		// or breaker event they disagree on.
+		pr := newPair(WithDefaultPolicy(Policy{
+			SpoofFilter:         true,
+			MinTTL:              2,
+			RatePPS:             1e6,
+			Burst:               1 << 16,
+			QuarantineThreshold: 4,
+		}))
 		const peer = "peer"
-		for i := 0; i < 2; i++ { // second pass exercises tripped-breaker paths
+		pr.do(t, "Advertise", func(a admitter) { a.Advertise(peer, 100) })
+		g := pr.got
+
+		for i := 0; i < 6; i++ { // later passes exercise the tripped breaker and its expiry
+			if i == 5 {
+				pr.clk.advance(10)
+			}
 			before := g.Drops().Total()
 			labelledClaim := len(data) >= 4 && data[0] == 0xe5 && data[1] == 0x4d && data[3]&0x01 != 0
-			if !g.PreAdmit(peer, labelledClaim) {
+			if !pr.verdict(t, "PreAdmit", func(a admitter) bool { return a.PreAdmit(peer, labelledClaim) }) {
 				if g.Drops().Total() != before+1 {
 					t.Fatal("pre-admit rejection not accounted")
 				}
@@ -66,10 +71,10 @@ func FuzzGuardAdmit(f *testing.F) {
 			}
 			var p packet.Packet
 			if _, err := transport.DecodePacket(&p, data); err != nil {
-				g.Malformed(peer)
+				pr.do(t, "Malformed", func(a admitter) { a.Malformed(peer) })
 				continue
 			}
-			admitted := g.Admit(&p, peer)
+			admitted := pr.verdict(t, "Admit", func(a admitter) bool { return a.Admit(&p, peer) })
 			after := g.Drops().Total()
 			if admitted && after != before {
 				t.Fatalf("admitted packet charged %d drops", after-before)
@@ -91,7 +96,6 @@ func FuzzGuardAdmit(f *testing.F) {
 					t.Fatalf("unlabelled packet with TTL %d admitted below minimum", p.Header.TTL)
 				}
 			}
-			_ = telemetry.ReasonQuarantine
 		}
 	})
 }

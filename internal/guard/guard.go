@@ -30,15 +30,24 @@
 // hostile, not just that it is.
 //
 // The guard depends only on packet, label and telemetry, so transport,
-// router and signaling can all reach it without cycles. All methods
-// are safe for concurrent use: PreAdmit and Malformed run on socket
-// goroutines while Admit, Advertise and Withdraw run under the node's
-// network lock.
+// router and signaling can all reach it without cycles.
+//
+// All methods are safe for concurrent use, and the per-packet ones are
+// built for it: one socket goroutine per shard admits while the
+// signaling speaker advertises and withdraws and the management plane
+// retunes. Admit, PreAdmit and Quarantined find the peer through an
+// atomically published table, read the policy as an immutable snapshot
+// and test the advertised label in an atomic bitset; no lock is shared
+// between peers or between shards. The token bucket — the one check
+// that must count — has a lock per peer, taken only when the policy
+// sets a rate; the clock is read only then or while a breaker is armed.
 package guard
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"embeddedmpls/internal/label"
@@ -107,20 +116,87 @@ func (p Policy) active() bool {
 	return p.SpoofFilter || p.MinTTL > 0 || p.RatePPS > 0 || p.QuarantineThreshold > 0
 }
 
-// linkState is the mutable per-peer half of the guard.
-type linkState struct {
-	pol        Policy
-	advertised map[label.Label]struct{}
+// Label pages: the advertised set is a bitset over the 20-bit label
+// space, paged so a peer pays 512 bytes per 4096-label page it has ever
+// been advertised a label in rather than 128 KiB up front.
+const (
+	pageShift = 12
+	pageMask  = 1<<pageShift - 1
+)
 
-	// Token bucket.
-	tokens     float64
-	lastRefill float64
+type labelPage [1 << pageShift / 64]atomic.Uint64
 
-	// Quarantine breaker.
+// labelSet is the advertised-label set of one peer. Membership, add
+// and remove are O(1) and lock-free: a reader does two atomic loads,
+// a writer one compare-and-swap on the word holding the label's bit.
+// Pages are allocated on first use and never freed.
+type labelSet [(int(label.MaxLabel) + 1) >> pageShift]atomic.Pointer[labelPage]
+
+// word returns the word holding l's bit, or nil when l is not a label
+// or (unless alloc) its page was never written.
+func (s *labelSet) word(l label.Label, alloc bool) *atomic.Uint64 {
+	if !l.Valid() {
+		return nil
+	}
+	slot := &s[l>>pageShift]
+	pg := slot.Load()
+	if pg == nil {
+		if !alloc {
+			return nil
+		}
+		slot.CompareAndSwap(nil, new(labelPage))
+		pg = slot.Load()
+	}
+	return &pg[l&pageMask>>6]
+}
+
+func (s *labelSet) has(l label.Label) bool {
+	w := s.word(l, false)
+	return w != nil && w.Load()>>(l&63)&1 != 0
+}
+
+// set adds (on) or removes l.
+func (s *labelSet) set(l label.Label, on bool) {
+	w := s.word(l, on)
+	if w == nil {
+		return
+	}
+	for bit := uint64(1) << (l & 63); ; {
+		old := w.Load()
+		next := old &^ bit
+		if on {
+			next = old | bit
+		}
+		if next == old || w.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// peerState is the per-peer half of the guard. The admission fast path
+// (quarantine, TTL, spoof) reads only the atomics; mu is taken by the
+// token bucket when the policy rate-limits, by Malformed, and by a
+// retune.
+type peerState struct {
+	pol        atomic.Pointer[Policy] // defaults applied
+	advertised labelSet
+	// openUntil is the float64 bits of the time the breaker stays open
+	// until; zero means not armed, so an unarmed peer never costs a
+	// clock read. The admission that first sees the hold expired swaps
+	// it back to zero and emits the clear event.
+	openUntil atomic.Uint64
+
+	mu          sync.Mutex
+	tokens      float64
+	lastRefill  float64
 	malformed   int     // decode failures inside the current window
 	windowStart float64 // when the current window opened
-	openUntil   float64 // breaker open until this time
-	tripped     bool
+}
+
+// openAt reports whether the breaker is open at time now.
+func (st *peerState) openAt(now float64) bool {
+	until := st.openUntil.Load()
+	return until != 0 && now < math.Float64frombits(until)
 }
 
 type config struct {
@@ -146,10 +222,12 @@ func WithLinkPolicy(peer string, p Policy) Option {
 
 // WithClock sets the time source (seconds, monotonic). The default
 // counts real seconds from construction; tests inject a manual clock.
+// The guard calls it from every goroutine that admits.
 func WithClock(now func() float64) Option { return func(c *config) { c.now = now } }
 
 // WithDropFunc forwards every guard drop to fn (typically the node's
-// shared telemetry sink) in addition to the guard's own counters.
+// shared telemetry sink) in addition to the guard's own counters. fn
+// runs on the admitting goroutine with no guard lock held.
 func WithDropFunc(fn func(telemetry.Reason)) Option {
 	return func(c *config) { c.forward = fn }
 }
@@ -174,9 +252,21 @@ func WithControlFlows(ids ...uint16) Option {
 // Guard is one node's ingress admission state across all its inbound
 // links. The zero value is not usable; call New.
 type Guard struct {
-	mu    sync.Mutex
-	cfg   config
-	links map[string]*linkState
+	// Fixed at construction, read without synchronisation.
+	now     func() float64
+	forward func(telemetry.Reason)
+	events  *telemetry.EventCounters
+	control map[uint16]struct{}
+
+	// mu serialises the writers: policy changes and the publication of
+	// a new peer. No admission takes it for a peer already published.
+	mu        sync.Mutex
+	overrides map[string]Policy // per-link policies as configured
+	// def is the default policy as configured; peers is the published
+	// peer table, replaced whole (copy-on-write) when a peer is added.
+	def   atomic.Pointer[Policy]
+	peers atomic.Pointer[map[string]*peerState]
+
 	drops telemetry.DropCounters
 }
 
@@ -192,55 +282,79 @@ func New(opts ...Option) *Guard {
 	if cfg.now == nil {
 		cfg.now = wallClock()
 	}
-	g := &Guard{cfg: cfg, links: map[string]*linkState{}}
-	for peer, pol := range cfg.links {
-		g.links[peer] = newLinkState(pol, cfg.now())
+	g := &Guard{
+		now:       cfg.now,
+		forward:   cfg.forward,
+		events:    cfg.events,
+		control:   cfg.control,
+		overrides: cfg.links,
 	}
+	g.def.Store(&cfg.def)
+	peers := make(map[string]*peerState, len(cfg.links))
+	for peer, pol := range cfg.links {
+		peers[peer] = newPeerState(pol, cfg.now())
+	}
+	g.peers.Store(&peers)
 	return g
 }
 
-func newLinkState(pol Policy, now float64) *linkState {
+func newPeerState(pol Policy, now float64) *peerState {
 	pol = pol.withDefaults()
-	return &linkState{
-		pol:        pol,
-		advertised: map[label.Label]struct{}{},
-		tokens:     float64(pol.Burst),
-		lastRefill: now,
-	}
+	st := &peerState{tokens: float64(pol.Burst), lastRefill: now}
+	st.pol.Store(&pol)
+	return st
 }
 
-// state returns (creating if needed) the per-peer state, or nil when
-// neither a link override nor the default policy has anything to do
-// for this peer.
-func (g *Guard) state(peer string) *linkState {
-	if st, ok := g.links[peer]; ok {
+// state returns the per-peer state, or nil when neither a link override
+// nor the default policy has anything to do for this peer. A peer first
+// seen under an active default policy is published once, under the
+// writer lock; every later call is two atomic loads and a map read.
+func (g *Guard) state(peer string) *peerState {
+	if st := (*g.peers.Load())[peer]; st != nil {
 		return st
 	}
-	if !g.cfg.def.active() {
+	if !g.def.Load().active() {
 		return nil
 	}
-	st := newLinkState(g.cfg.def, g.cfg.now())
-	g.links[peer] = st
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if st := (*g.peers.Load())[peer]; st != nil {
+		return st
+	}
+	def := *g.def.Load()
+	if !def.active() {
+		return nil
+	}
+	return g.publishLocked(peer, def)
+}
+
+// publishLocked adds a peer to a copy of the peer table and publishes
+// the copy. Callers hold g.mu.
+func (g *Guard) publishLocked(peer string, pol Policy) *peerState {
+	old := *g.peers.Load()
+	next := make(map[string]*peerState, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	st := newPeerState(pol, g.now())
+	next[peer] = st
+	g.peers.Store(&next)
 	return st
 }
 
 // Advertise records that the local speaker advertised label l to peer:
 // from now on the spoof filter admits it on that link. Idempotent.
 func (g *Guard) Advertise(peer string, l label.Label) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if st := g.state(peer); st != nil {
-		st.advertised[l] = struct{}{}
+		st.advertised.set(l, true)
 	}
 }
 
 // Withdraw removes a previously advertised label from peer's admitted
 // set. Idempotent.
 func (g *Guard) Withdraw(peer string, l label.Label) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if st := g.state(peer); st != nil {
-		delete(st.advertised, l)
+		st.advertised.set(l, false)
 	}
 }
 
@@ -256,8 +370,6 @@ func (g *Guard) PreAdmit(peer string, labelled bool) bool {
 	if !labelled {
 		return true
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st := g.state(peer)
 	if st == nil || !g.quarantined(st) {
 		return true
@@ -274,41 +386,51 @@ func (g *Guard) Malformed(peer string) {
 	if peer == "" {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st := g.state(peer)
-	if st == nil || st.pol.QuarantineThreshold <= 0 {
+	if st == nil {
 		return
 	}
-	now := g.cfg.now()
-	if now-st.windowStart > st.pol.QuarantineWindow {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	pol := st.pol.Load()
+	if pol.QuarantineThreshold <= 0 {
+		return
+	}
+	now := g.now()
+	if now-st.windowStart > pol.QuarantineWindow {
 		st.windowStart = now
 		st.malformed = 0
 	}
 	st.malformed++
-	if st.malformed >= st.pol.QuarantineThreshold && now >= st.openUntil {
-		st.openUntil = now + st.pol.QuarantineHold
-		st.tripped = true
-		st.malformed = 0
-		st.windowStart = now
-		if g.cfg.events != nil {
-			g.cfg.events.Inc(telemetry.EventQuarantineTrip)
-		}
+	if st.malformed < pol.QuarantineThreshold {
+		return
+	}
+	if st.openAt(now) {
+		return
+	}
+	st.openUntil.Store(math.Float64bits(now + pol.QuarantineHold))
+	st.malformed = 0
+	st.windowStart = now
+	if g.events != nil {
+		g.events.Inc(telemetry.EventQuarantineTrip)
 	}
 }
 
 // quarantined reports whether st's breaker is open, emitting the clear
-// event on the first query after the hold expires. Callers hold g.mu.
-func (g *Guard) quarantined(st *linkState) bool {
-	now := g.cfg.now()
-	if now < st.openUntil {
+// event on the first query after the hold expires. It is the one read
+// Admit, PreAdmit and Quarantined share.
+func (g *Guard) quarantined(st *peerState) bool {
+	until := st.openUntil.Load()
+	if until == 0 {
+		return false
+	}
+	if g.now() < math.Float64frombits(until) {
 		return true
 	}
-	if st.tripped {
-		st.tripped = false
-		if g.cfg.events != nil {
-			g.cfg.events.Inc(telemetry.EventQuarantineClear)
-		}
+	// Whoever wins the swap saw the hold expire first; a Malformed that
+	// re-armed the breaker in between makes the swap fail, correctly.
+	if st.openUntil.CompareAndSwap(until, 0) && g.events != nil {
+		g.events.Inc(telemetry.EventQuarantineClear)
 	}
 	return false
 }
@@ -316,16 +438,19 @@ func (g *Guard) quarantined(st *linkState) bool {
 // Admit is the post-decode admission decision for one packet arriving
 // from peer. False means the packet must be discarded; the guard has
 // already accounted the drop. Check order: control classification,
-// quarantine, TTL security, spoof filter, token bucket.
+// quarantine, TTL security, spoof filter, token bucket. Only the token
+// bucket takes a lock, and that lock is the peer's own.
 func (g *Guard) Admit(p *packet.Packet, peer string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	st := g.state(peer)
 	if st == nil {
 		return true
 	}
-	_, control := g.cfg.control[p.Header.FlowID]
-	control = control && !p.Labelled()
+	pol := st.pol.Load()
+	labelled := p.Labelled()
+	control := false
+	if !labelled {
+		_, control = g.control[p.Header.FlowID]
+	}
 
 	if !control && g.quarantined(st) {
 		g.drop(telemetry.ReasonQuarantine)
@@ -333,35 +458,32 @@ func (g *Guard) Admit(p *packet.Packet, peer string) bool {
 	}
 
 	var top label.Entry
-	labelled := p.Labelled()
 	if labelled {
 		top, _ = p.Stack.Top()
 	}
 
-	if st.pol.MinTTL > 0 && !control {
+	if pol.MinTTL > 0 && !control {
 		ttl := p.Header.TTL
 		if labelled {
 			ttl = top.TTL
 		}
-		if ttl < st.pol.MinTTL {
+		if ttl < pol.MinTTL {
 			g.drop(telemetry.ReasonTTLSecurity)
 			return false
 		}
 	}
 
-	if st.pol.SpoofFilter && labelled {
-		if _, ok := st.advertised[top.Label]; !ok {
-			g.drop(telemetry.ReasonLabelSpoof)
-			return false
-		}
+	if pol.SpoofFilter && labelled && !st.advertised.has(top.Label) {
+		g.drop(telemetry.ReasonLabelSpoof)
+		return false
 	}
 
-	if st.pol.RatePPS > 0 && !control {
+	if pol.RatePPS > 0 && !control {
 		cos := label.CoS(0) // unlabelled data is best-effort
 		if labelled {
 			cos = top.CoS
 		}
-		if !st.take(g.cfg.now(), cos) {
+		if !st.take(g.now, cos) {
 			g.drop(telemetry.ReasonRateLimit)
 			return false
 		}
@@ -376,9 +498,19 @@ func (g *Guard) Admit(p *packet.Packet, peer string) bool {
 // (0) needs a half-full bucket. Under sustained overload the bucket
 // level settles at the admission frontier, so low classes shed first
 // and high classes keep flowing at the configured rate.
-func (st *linkState) take(now float64, cos label.CoS) bool {
-	burst := float64(st.pol.Burst)
-	st.tokens += (now - st.lastRefill) * st.pol.RatePPS
+//
+// The clock is read under the bucket's lock, so refills are ordered
+// like the takes and the level never runs backwards.
+func (st *peerState) take(clock func() float64, cos label.CoS) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	pol := st.pol.Load() // a retune stores it under mu
+	if pol.RatePPS <= 0 {
+		return true
+	}
+	now := clock()
+	burst := float64(pol.Burst)
+	st.tokens += (now - st.lastRefill) * pol.RatePPS
 	if st.tokens > burst {
 		st.tokens = burst
 	}
@@ -391,11 +523,11 @@ func (st *linkState) take(now float64, cos label.CoS) bool {
 	return true
 }
 
-// drop accounts one rejection. Callers hold g.mu.
+// drop accounts one rejection.
 func (g *Guard) drop(r telemetry.Reason) {
 	g.drops.Inc(r)
-	if g.cfg.forward != nil {
-		g.cfg.forward(r)
+	if g.forward != nil {
+		g.forward(r)
 	}
 }
 
@@ -405,23 +537,15 @@ func (g *Guard) Drops() *telemetry.DropCounters { return &g.drops }
 
 // Quarantined reports whether peer's circuit breaker is currently open.
 func (g *Guard) Quarantined(peer string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st, ok := g.links[peer]
-	return ok && g.quarantined(st)
+	st := (*g.peers.Load())[peer]
+	return st != nil && g.quarantined(st)
 }
 
 // Advertised reports whether label l is currently admitted from peer
 // by the spoof filter.
 func (g *Guard) Advertised(peer string, l label.Label) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st, ok := g.links[peer]
-	if !ok {
-		return false
-	}
-	_, ok = st.advertised[l]
-	return ok
+	st := (*g.peers.Load())[peer]
+	return st != nil && st.advertised.has(l)
 }
 
 // SetDefaultPolicy replaces the default admission policy at runtime —
@@ -431,12 +555,12 @@ func (g *Guard) Advertised(peer string, l label.Label) bool {
 func (g *Guard) SetDefaultPolicy(p Policy) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.cfg.def = p
-	for peer, st := range g.links {
-		if _, override := g.cfg.links[peer]; override {
+	g.def.Store(&p)
+	for peer, st := range *g.peers.Load() {
+		if _, override := g.overrides[peer]; override {
 			continue
 		}
-		st.retune(p, g.cfg.now())
+		st.retune(p, g.now)
 	}
 }
 
@@ -445,34 +569,33 @@ func (g *Guard) SetDefaultPolicy(p Policy) {
 func (g *Guard) SetLinkPolicy(peer string, p Policy) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.cfg.links[peer] = p
-	if st, ok := g.links[peer]; ok {
-		st.retune(p, g.cfg.now())
+	g.overrides[peer] = p
+	if st := (*g.peers.Load())[peer]; st != nil {
+		st.retune(p, g.now)
 	} else {
-		g.links[peer] = newLinkState(p, g.cfg.now())
+		g.publishLocked(peer, p)
 	}
 }
 
 // DefaultPolicy returns the current default admission policy (as
 // configured, before per-link defaults are applied).
-func (g *Guard) DefaultPolicy() Policy {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cfg.def
-}
+func (g *Guard) DefaultPolicy() Policy { return *g.def.Load() }
 
 // retune swaps a live link's policy without discarding learned state:
 // the advertised set and quarantine bookkeeping carry over. The token
 // bucket refills from scratch when rate limiting turns on, and is
 // capped to the new burst when it shrinks. Callers hold g.mu.
-func (st *linkState) retune(p Policy, now float64) {
-	prev := st.pol
-	st.pol = p.withDefaults()
+func (st *peerState) retune(p Policy, clock func() float64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	prev := st.pol.Load()
+	next := p.withDefaults()
+	st.pol.Store(&next)
 	switch {
-	case prev.RatePPS <= 0 && st.pol.RatePPS > 0:
-		st.tokens, st.lastRefill = float64(st.pol.Burst), now
-	case st.tokens > float64(st.pol.Burst):
-		st.tokens = float64(st.pol.Burst)
+	case prev.RatePPS <= 0 && next.RatePPS > 0:
+		st.tokens, st.lastRefill = float64(next.Burst), clock()
+	case st.tokens > float64(next.Burst):
+		st.tokens = float64(next.Burst)
 	}
 }
 
@@ -485,13 +608,12 @@ func (g *Guard) RegisterMetrics(reg *telemetry.Registry, node string) {
 
 // String summarises the guard for operator output.
 func (g *Guard) String() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	open := 0
-	for _, st := range g.links {
-		if g.cfg.now() < st.openUntil {
+	peers := *g.peers.Load()
+	open, now := 0, g.now()
+	for _, st := range peers {
+		if st.openAt(now) {
 			open++
 		}
 	}
-	return fmt.Sprintf("guard{links=%d quarantined=%d %v}", len(g.links), open, &g.drops)
+	return fmt.Sprintf("guard{links=%d quarantined=%d %v}", len(peers), open, &g.drops)
 }

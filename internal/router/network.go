@@ -393,8 +393,9 @@ func (n *Network) SetGuard(a Admission) {
 }
 
 // guardPreAdmit and guardMalformed resolve the guard per event: they
-// run on socket goroutines, where the guard (internally locked) is
-// safe but the network lock is not held.
+// run on socket goroutines, where the guard (safe for concurrent use,
+// no lock on its admission path) is fine but the network lock is not
+// held.
 func (n *Network) guardPreAdmit(peer string, labelled bool) bool {
 	if g := n.guard.Load(); g != nil {
 		return (*g).PreAdmit(peer, labelled)

@@ -101,12 +101,34 @@ func (n *Network) AttachEgressPump(name string) error {
 }
 
 // FeedTo returns a transport receive sink feeding one engine shard of a
-// pumped router: labelled packets are admission-checked and submitted
-// straight to shard `shard` — pinned, without the network lock, with
-// backpressure on the socket goroutine when the queue fills — while
-// unlabelled and control traffic takes the serial Receive path under
-// the lock. Pair it with transport.ListenSharded so the kernel's
-// SO_REUSEPORT hash is the only demultiplexer:
+// pumped router. Each packet of a batch is classified from the router's
+// lock-free ingress snapshot, not by whether it carries a label:
+//
+//   - Transit — every labelled packet, and every unlabelled packet this
+//     router is the LER ingress for (the engine's FTN longest-prefix
+//     match and push are the paper's level-1 search keyed by the packet
+//     identifier, one circuit with the label levels) — is judged by the
+//     ingress guard right here on the socket goroutine, cloned off the
+//     receiver's storage and submitted to shard `shard`: pinned, without
+//     the network lock, with backpressure on the socket when the queue
+//     fills. An unlabelled packet that matches no FEC comes back through
+//     the pump's Discard and is counted once, at router level, as
+//     no-route — exactly what the serial path does.
+//   - Local — an unlabelled packet addressed to one of the router's own
+//     addresses (signaling sessions, keepalive probes, egress delivery)
+//     — takes the serial Receive path under the network lock, after the
+//     batch's transit packets. Receive runs the same guard.
+//   - A router with an IP fallback table (SetIPTable) keeps all its
+//     unlabelled traffic on the serial path: a miss must fall back to
+//     hop-by-hop IP forwarding, and an engine worker would already have
+//     traced and counted the discard by the time the pump saw it.
+//
+// The guard is resolved through the same atomic indirection the
+// pre-decode hooks use, and its admission path takes no shared lock, so
+// the shards' socket goroutines do not queue on each other. Every
+// submitted packet is a Clone: the receiver reuses its decode storage
+// when the sink returns. Pair FeedTo with transport.ListenSharded so the
+// kernel's SO_REUSEPORT hash is the only demultiplexer:
 //
 //	net.AttachEgressPump("b")
 //	transport.ListenSharded(addr, eng.Workers(), func(i int) func([]transport.Inbound) {
@@ -129,15 +151,15 @@ func (n *Network) FeedTo(name string, shard int) func(batch []transport.Inbound)
 	return func(batch []transport.Inbound) {
 		fast = fast[:0]
 		slow := false
+		// One snapshot per batch, so both passes classify alike.
+		view := r.ingress.Load()
+		guard := n.guard.Load()
 		for _, in := range batch {
-			if !in.P.Labelled() {
+			if !in.P.Labelled() && view.serial(in.P.Header.Dst) {
 				slow = true
 				continue
 			}
-			// The ingress guard is internally locked and resolved through
-			// the same atomic indirection the pre-decode hooks use, so it
-			// is safe here on the socket goroutine without the network lock.
-			if g := n.guard.Load(); g != nil && !(*g).Admit(in.P, in.From) {
+			if guard != nil && !(*guard).Admit(in.P, in.From) {
 				continue
 			}
 			fast = append(fast, in.P.Clone())
@@ -148,7 +170,7 @@ func (n *Network) FeedTo(name string, shard int) func(batch []transport.Inbound)
 		if slow {
 			n.mu.Lock()
 			for _, in := range batch {
-				if !in.P.Labelled() {
+				if !in.P.Labelled() && view.serial(in.P.Header.Dst) {
 					r.Receive(in.P.Clone(), in.From)
 				}
 			}

@@ -9,6 +9,7 @@ package router
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"embeddedmpls/internal/device"
 	"embeddedmpls/internal/iproute"
@@ -128,7 +129,13 @@ type Router struct {
 	sim   *netsim.Simulator
 	plane DataPlane
 	links map[string]netsim.Wire
-	local map[packet.Addr]bool
+
+	// ingress is what the router knows about unlabelled arrivals before
+	// any table is searched: the addresses that terminate here and the
+	// IP fallback table. It is an immutable snapshot, replaced whole by
+	// AddLocal and SetIPTable (control-plane rate), so Network.FeedTo
+	// can classify on a socket goroutine without the network lock.
+	ingress atomic.Pointer[ingressView]
 
 	// busyUntil models the forwarding engine as a serial resource: a
 	// packet's processing starts when the engine frees up.
@@ -151,12 +158,6 @@ type Router struct {
 	// owns the drop accounting (the ingress guard counts per-reason).
 	admission func(p *packet.Packet, from string) bool
 
-	// ipTable, when set, carries unlabelled packets that have no FEC
-	// binding — conventional hop-by-hop IP forwarding, the pre-MPLS
-	// baseline. The data plane's engine time already covers the lookup
-	// cost (its FTN miss *is* the failed route lookup).
-	ipTable *iproute.Table
-
 	// drops, when set, receives one count per dropped packet under the
 	// unified telemetry taxonomy; trace, when set, receives one event
 	// per label operation or discard.
@@ -172,16 +173,43 @@ type Router struct {
 	Stats Stats
 }
 
+// ingressView is one immutable snapshot of Router.ingress.
+type ingressView struct {
+	// local holds the addresses terminating at this router: unlabelled
+	// packets for them are delivered, not forwarded.
+	local map[packet.Addr]struct{}
+	// ipTable, when set, carries unlabelled packets that have no FEC
+	// binding — conventional hop-by-hop IP forwarding, the pre-MPLS
+	// baseline. The data plane's engine time already covers the lookup
+	// cost (its FTN miss *is* the failed route lookup).
+	ipTable *iproute.Table
+}
+
+func (v *ingressView) isLocal(a packet.Addr) bool {
+	_, ok := v.local[a]
+	return ok
+}
+
+// serial reports whether an unlabelled packet for dst must take the
+// serial Receive path of a pumped router: it terminates here (control
+// sessions, probes, egress delivery), or an FTN miss would have to fall
+// back to the IP table — which only act can do, because an engine
+// worker has traced and counted the discard before the pump sees it.
+func (v *ingressView) serial(dst packet.Addr) bool {
+	return v.ipTable != nil || v.isLocal(dst)
+}
+
 // New creates a router on the simulator.
 func New(sim *netsim.Simulator, name string, plane DataPlane) *Router {
-	return &Router{
+	r := &Router{
 		name:  name,
 		sim:   sim,
 		plane: plane,
 		links: make(map[string]netsim.Wire),
-		local: make(map[packet.Addr]bool),
 		Stats: Stats{DropsByReason: make(map[swmpls.DropReason]uint64)},
 	}
+	r.ingress.Store(&ingressView{})
+	return r
 }
 
 // Name implements netsim.Node.
@@ -263,8 +291,22 @@ func (r *Router) SetAdmission(fn func(p *packet.Packet, from string) bool) {
 }
 
 // AddLocal marks addr as terminating at this router: unlabelled packets
-// for it are delivered instead of forwarded.
-func (r *Router) AddLocal(addr packet.Addr) { r.local[addr] = true }
+// for it are delivered instead of forwarded. Like every router mutator
+// it is a control-plane call, serialised with the others by the network
+// lock; it publishes a new ingress snapshot and readers never wait.
+func (r *Router) AddLocal(addr packet.Addr) {
+	v := *r.ingress.Load()
+	if v.isLocal(addr) {
+		return // re-signalled FEC: nothing to publish
+	}
+	local := make(map[packet.Addr]struct{}, len(v.local)+1)
+	for a := range v.local {
+		local[a] = struct{}{}
+	}
+	local[addr] = struct{}{}
+	v.local = local
+	r.ingress.Store(&v)
+}
 
 // Inject introduces a locally originated packet (from a traffic source).
 func (r *Router) Inject(p *packet.Packet) { r.Receive(p, r.name) }
@@ -278,7 +320,7 @@ func (r *Router) Receive(p *packet.Packet, from string) {
 		return
 	}
 	// Local IP delivery needs no label operation.
-	if !p.Labelled() && r.local[p.Header.Dst] {
+	if !p.Labelled() && r.ingress.Load().isLocal(p.Header.Dst) {
 		r.deliver(p)
 		return
 	}
@@ -308,13 +350,18 @@ func (r *Router) Receive(p *packet.Packet, from string) {
 
 // SetIPTable installs the router's IP forwarding table (nil disables the
 // fallback).
-func (r *Router) SetIPTable(t *iproute.Table) { r.ipTable = t }
+func (r *Router) SetIPTable(t *iproute.Table) {
+	v := *r.ingress.Load()
+	v.ipTable = t
+	r.ingress.Store(&v)
+}
 
 func (r *Router) act(p *packet.Packet, res swmpls.Result) {
-	if res.Action == swmpls.Drop && res.Drop == swmpls.DropNoRoute &&
-		!p.Labelled() && r.ipTable != nil {
-		r.ipForward(p)
-		return
+	if res.Action == swmpls.Drop && res.Drop == swmpls.DropNoRoute && !p.Labelled() {
+		if t := r.ingress.Load().ipTable; t != nil {
+			r.ipForward(p, t)
+			return
+		}
 	}
 	switch res.Action {
 	case swmpls.Forward:
@@ -351,8 +398,8 @@ func (r *Router) traceOp(p *packet.Packet, op label.Op) {
 
 // ipForward carries an unlabelled packet one hop by longest-prefix match,
 // with the usual IP TTL handling.
-func (r *Router) ipForward(p *packet.Packet) {
-	nh, ok := r.ipTable.Lookup(p.Header.Dst)
+func (r *Router) ipForward(p *packet.Packet, t *iproute.Table) {
+	nh, ok := t.Lookup(p.Header.Dst)
 	if !ok {
 		r.drop(p, swmpls.DropNoRoute)
 		return
