@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test mgmt bench bench-dataplane bench-lookup bench-transport bench-convergence reproduce reproduce-check race flake cover metrics chaos soak examples clean
+.PHONY: all build test mgmt bench reproduce reproduce-check race flake cover chaos soak examples clean
 
 all: build test
 
@@ -33,33 +33,6 @@ mgmt:
 
 bench:
 	go test -bench=. -benchmem ./...
-
-# Sweep the concurrent engine from 1 to 4 workers and write
-# BENCH_dataplane.json.
-bench-dataplane:
-	go run ./cmd/mplsbench -engine=dataplane -workers=4 -json
-
-# The ILM fast path: worst-case hit latency of the linear vs indexed
-# information base at 16..1024 entries, plus single-shard batch 1 vs 32,
-# written to BENCH_lookup.json.
-bench-lookup:
-	go run ./cmd/mplsbench -engine=lookup -batch=32 -json
-
-# The wire transport: codec ns/op with the zero-allocation guarantee,
-# sustained loopback-UDP pps against the in-memory codec pipeline — the
-# legacy per-packet wire and the batched wire across its coalesce /
-# sysBatch / shard axes with syscalls-per-packet — written to
-# BENCH_transport.json. Exits nonzero if the best batched pps falls
-# below the committed floor_pps, so a wire-path regression fails CI.
-bench-transport:
-	go run ./cmd/mplsbench -engine=transport -packets=500000 -json
-
-# The distributed control plane: session-mesh formation, LSP
-# establishment and failure-to-reroute latency (all in simulated
-# seconds) on rings of 8, 32 and 128 routers, written to
-# BENCH_convergence.json.
-bench-convergence:
-	go run ./cmd/mplsbench -engine=convergence -json
 
 reproduce:
 	go run ./cmd/reproduce -out results
@@ -140,10 +113,7 @@ examples:
 	@for ex in quickstart figure1 tunnel voipqos hwsw signaling mmio dataplane distributed; do \
 		echo "== $$ex =="; go run ./examples/$$ex; echo; done
 
-# Run the metrics workload: forces every drop reason, prints the
-# Prometheus exposition and the label-operation trace.
-metrics:
-	go run ./cmd/mplsbench -engine=dataplane -metrics
-
+# Generated outputs only: results/ is committed and reproduce-check
+# diffs against it.
 clean:
-	rm -rf results coverage.out
+	rm -rf coverage.out *.test *.prof .bench_build

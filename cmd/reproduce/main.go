@@ -43,6 +43,7 @@ func main() {
 
 	runTable6(*out)
 	runWorstCase()
+	runResources()
 	runFigures(*out)
 
 	fmt.Printf("\n%-42s %-22s %-22s %s\n", "result", "paper", "measured", "verdict")
@@ -164,6 +165,14 @@ func runWorstCase() {
 	record("§4 worst case (composite)", "6167 cycles", fmt.Sprintf("%d cycles", total), total == 6167)
 	ms := lsm.DefaultClock.Seconds(total) * 1e3
 	record("§4 worst case at 50 MHz", "~0.1233 ms", fmt.Sprintf("%.4f ms", ms), ms > 0.123 && ms < 0.124)
+}
+
+// runResources checks §5's space claim: the information base's block
+// RAM fits the paper's target device.
+func runResources() {
+	r := lsm.EstimateResources()
+	fits, frac := r.FitsStratixEP1S40()
+	record("§5 space on the target device", "fits EP1S40", fmt.Sprintf("%d IB bits, %.1f %%", r.RAMBits, frac*100), fits)
 }
 
 func runFigures(out string) {

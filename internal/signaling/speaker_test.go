@@ -1,21 +1,37 @@
 package signaling
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"embeddedmpls/internal/ldp"
+	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
 	"embeddedmpls/internal/telemetry"
 )
 
+// softwareNodes and hardwareNodes are the diamond's routers: software
+// forwarders, or the paper's label stack modifier with LERs at the
+// edges and LSRs in the core.
+var (
+	softwareNodes = []router.NodeSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}
+	hardwareNodes = []router.NodeSpec{
+		{Name: "a", Hardware: true, RouterType: lsm.LER},
+		{Name: "b", Hardware: true, RouterType: lsm.LSR},
+		{Name: "c", Hardware: true, RouterType: lsm.LSR},
+		{Name: "d", Hardware: true, RouterType: lsm.LER},
+	}
+)
+
 // diamond builds the canonical protection topology: a-b-d is the cheap
 // path, a-c-d the expensive backup.
-func diamond(t *testing.T) *router.Network {
+func diamond(t *testing.T) *router.Network { return diamondOf(t, softwareNodes) }
+
+func diamondOf(t *testing.T, nodes []router.NodeSpec) *router.Network {
 	t.Helper()
-	net, err := router.Build(
-		[]router.NodeSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}},
+	net, err := router.Build(nodes,
 		[]router.LinkSpec{
 			{A: "a", B: "b", RateBPS: 1e9, Delay: 0.0005, Metric: 1},
 			{A: "b", B: "d", RateBPS: 1e9, Delay: 0.0005, Metric: 1},
@@ -68,58 +84,67 @@ func TestSpeakerSessionsConverge(t *testing.T) {
 	}
 }
 
+// TestSpeakerEstablishAndForward signals an LSP and forwards over it,
+// on software forwarders and on the paper's device.
 func TestSpeakerEstablishAndForward(t *testing.T) {
-	net := diamond(t)
-	var events telemetry.EventCounters
-	speakers, err := Deploy(net, WithEvents(&events), WithUntil(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := packet.AddrFrom(10, 0, 0, 9)
-	delivered := deliveredCounter(t, net, "d", dst)
+	for _, tc := range []struct {
+		name  string
+		nodes []router.NodeSpec
+	}{{"software", softwareNodes}, {"hardware", hardwareNodes}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := diamondOf(t, tc.nodes)
+			var events telemetry.EventCounters
+			speakers, err := Deploy(net, WithEvents(&events), WithUntil(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := packet.AddrFrom(10, 0, 0, 9)
+			delivered := deliveredCounter(t, net, "d", dst)
 
-	var setupErr error
-	established := false
-	speakers["a"].OnEstablished = func(id string, path []string) {
-		established = true
-		if id != "l" || strings.Join(path, ",") != "a,b,d" {
-			t.Errorf("established %q via %v", id, path)
-		}
-	}
-	net.Sim.RunUntil(0.3) // let sessions come up
-	err = speakers["a"].Setup(ldp.SetupRequest{
-		ID:        "l",
-		FEC:       ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path:      []string{"a", "b", "d"},
-		Bandwidth: 1e6,
-	}, func(e error) { setupErr = e })
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Sim.RunUntil(0.6)
-	if setupErr != nil {
-		t.Fatalf("setup failed: %v", setupErr)
-	}
-	if !established {
-		t.Fatal("LSP never established")
-	}
-	if got := events.Get(telemetry.EventLabelMapRx); got != 2 {
-		t.Errorf("label_map_rx = %d, want 2 (b and a)", got)
-	}
+			var setupErr error
+			established := false
+			speakers["a"].OnEstablished = func(id string, path []string) {
+				established = true
+				if id != "l" || strings.Join(path, ",") != "a,b,d" {
+					t.Errorf("established %q via %v", id, path)
+				}
+			}
+			net.Sim.RunUntil(0.3) // let sessions come up
+			err = speakers["a"].Setup(ldp.SetupRequest{
+				ID:        "l",
+				FEC:       ldp.FEC{Dst: dst, PrefixLen: 32},
+				Path:      []string{"a", "b", "d"},
+				Bandwidth: 1e6,
+			}, func(e error) { setupErr = e })
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Sim.RunUntil(0.6)
+			if setupErr != nil {
+				t.Fatalf("setup failed: %v", setupErr)
+			}
+			if !established {
+				t.Fatal("LSP never established")
+			}
+			if got := events.Get(telemetry.EventLabelMapRx); got != 2 {
+				t.Errorf("label_map_rx = %d, want 2 (b and a)", got)
+			}
 
-	// Transit state: b swaps, d pops; labels were distributed, not
-	// computed — a and b hold distinct per-node label spaces.
-	if l := speakers["b"].lsps["l#1"]; l == nil || !l.ilmInstalled {
-		t.Error("transit b has no installed ILM state")
-	}
-	if l := speakers["d"].lsps["l#1"]; l == nil || !l.ilmInstalled {
-		t.Error("egress d has no installed ILM state")
-	}
+			// Transit state: b swaps, d pops; labels were distributed, not
+			// computed — a and b hold distinct per-node label spaces.
+			if l := speakers["b"].lsps["l#1"]; l == nil || !l.ilmInstalled {
+				t.Error("transit b has no installed ILM state")
+			}
+			if l := speakers["d"].lsps["l#1"]; l == nil || !l.ilmInstalled {
+				t.Error("egress d has no installed ILM state")
+			}
 
-	sendProbePacket(net, "a", dst)
-	net.Sim.RunUntil(0.7)
-	if *delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", *delivered)
+			sendProbePacket(net, "a", dst)
+			net.Sim.RunUntil(0.7)
+			if *delivered != 1 {
+				t.Fatalf("delivered = %d, want 1", *delivered)
+			}
+		})
 	}
 }
 
@@ -285,7 +310,8 @@ func TestSpeakerRequestReroute(t *testing.T) {
 }
 
 // TestSpeakerAdmissionControl rejects a reservation the downstream link
-// cannot carry, and the error reaches the ingress.
+// cannot carry, the error reaches the ingress, and every hop's
+// reservation unwinds.
 func TestSpeakerAdmissionControl(t *testing.T) {
 	net, err := router.Build(
 		[]router.NodeSpec{{Name: "a"}, {Name: "b"}, {Name: "d"}},
@@ -300,13 +326,28 @@ func TestSpeakerAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := []string{"a", "b", "d"}
+	reserved := func() []float64 {
+		var out []float64
+		for i := 1; i < len(path); i++ {
+			for _, dir := range [][2]string{{path[i-1], path[i]}, {path[i], path[i-1]}} {
+				attrs, ok := net.Topo.Link(dir[0], dir[1])
+				if !ok {
+					t.Fatalf("no link %s->%s", dir[0], dir[1])
+				}
+				out = append(out, attrs.ReservedBPS)
+			}
+		}
+		return out
+	}
+	before := reserved()
 	net.Sim.RunUntil(0.3)
 	var setupErr error
 	gotResult := false
 	if err := speakers["a"].Setup(ldp.SetupRequest{
 		ID:        "big",
 		FEC:       ldp.FEC{Dst: packet.AddrFrom(10, 0, 0, 9), PrefixLen: 32},
-		Path:      []string{"a", "b", "d"},
+		Path:      path,
 		Bandwidth: 1e6, // exceeds b-d capacity
 	}, func(e error) { gotResult = true; setupErr = e }); err != nil {
 		t.Fatal(err)
@@ -321,6 +362,9 @@ func TestSpeakerAdmissionControl(t *testing.T) {
 	// The ingress reservation must have been rolled back.
 	if l := speakers["a"].lsps["big#1"]; l != nil {
 		t.Error("failed LSP left state at the ingress")
+	}
+	if after := reserved(); !slices.Equal(after, before) {
+		t.Errorf("reserved bps per directed link = %v after the refusal, want %v", after, before)
 	}
 }
 

@@ -43,8 +43,8 @@ type Metrics struct {
 }
 
 // SyscallsPerPacket reports the combined send+receive syscall cost per
-// delivered packet — the figure the batch sweep in mplsbench records
-// to prove batching is actually batching. Zero when nothing moved.
+// delivered packet, which proves batching is actually batching (the
+// benchmark splits it by direction). Zero when nothing moved.
 func (m *Metrics) SyscallsPerPacket() float64 {
 	pkts := m.TxPackets.Load() + m.RxPackets.Load()
 	if pkts == 0 {
