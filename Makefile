@@ -9,10 +9,10 @@ build:
 
 # The fuzz smokes keep the wire decoders honest on every run: ten
 # seconds of random datagrams must never panic the packet codec or the
-# coalesced-frame walker, and the signaling codec must strictly
-# round-trip whatever it accepts. The management-plane smoke rides
-# along: golden wire fixtures, error envelopes, and the three-process
-# mplsctl acceptance run. So does the paper's evaluation: results/ must
+# coalesced-frame walker, and the signaling codec, the label stack
+# decoder and the packet decoder must strictly round-trip whatever they
+# accept. The management-plane smoke rides along: golden wire fixtures,
+# error envelopes, and the three-process mplsctl acceptance run. So does the paper's evaluation: results/ must
 # regenerate byte for byte.
 test: mgmt reproduce-check
 	go vet ./...
@@ -22,6 +22,8 @@ test: mgmt reproduce-check
 	go test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/transport
 	go test -run=^$$ -fuzz=FuzzFrameRoundTrip -fuzztime=10s ./internal/transport
 	go test -run=^$$ -fuzz=FuzzSignalingDecode -fuzztime=10s ./internal/signaling
+	go test -run=^$$ -fuzz=FuzzDecodeWire -fuzztime=10s ./internal/label
+	go test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/packet
 
 # The management-plane smoke: the JSON-RPC wire against its golden
 # fixtures, every RPC against a live node, and mplsctl driving three

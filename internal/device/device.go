@@ -210,16 +210,8 @@ func (d *Device) Process(p *packet.Packet) (swmpls.Result, int) {
 	// modifier, one user push per entry (3 cycles each).
 	wasLabelled := p.Labelled()
 	var oldTop label.Entry
-	d.mod.Reset()
-	cycles := 0
-	for _, e := range p.Stack.Entries() {
-		if err := d.mod.UserPush(e); err != nil {
-			// Deeper than the hardware supports: the ingress interface
-			// cannot represent the packet; drop it.
-			return d.dropRes(swmpls.DropStackOverflow), cycles
-		}
-		cycles += lsm.CyclesUserPush
-	}
+	d.mod.LoadStack(p.Stack)
+	cycles := lsm.CyclesUserPush * p.Stack.Depth()
 	if wasLabelled {
 		oldTop, _ = p.Stack.Top()
 	}
@@ -244,7 +236,7 @@ func (d *Device) Process(p *packet.Packet) (swmpls.Result, int) {
 	}
 
 	// Egress packet processing: replace the packet's stack.
-	p.Stack = d.mod.Stack().Clone()
+	p.Stack = d.mod.Stack()
 
 	// Next-hop selection (software table, like the routing functionality
 	// the architecture assumes).

@@ -41,6 +41,7 @@ func BenchmarkStackWireRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := make([]byte, 0, 12)
+	var got Stack
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
@@ -48,7 +49,7 @@ func BenchmarkStackWireRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := DecodeWire(buf); err != nil {
+		if _, err := got.DecodeWireInto(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

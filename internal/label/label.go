@@ -33,6 +33,10 @@ const (
 // FirstUnreserved is the smallest label value an allocator may assign.
 const FirstUnreserved Label = 16
 
+// ErrLabelSpaceExhausted is what a label allocator returns once it has
+// handed out MaxLabel: a larger value would not fit on the wire.
+var ErrLabelSpaceExhausted = errors.New("label: 20-bit label space exhausted")
+
 // Reserved reports whether l is one of the reserved label values (0-15).
 func (l Label) Reserved() bool { return l < FirstUnreserved }
 

@@ -1,7 +1,11 @@
 package label
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -191,17 +195,40 @@ func TestStackResetDiscardsEverything(t *testing.T) {
 	}
 }
 
+// TestStackCloneIsIndependent: a Stack is a value, so assignment is the
+// clone; and popped slots are cleared, so equal contents compare ==.
 func TestStackCloneIsIndependent(t *testing.T) {
 	s, _ := NewStack(Entry{Label: 1, TTL: 9}, Entry{Label: 2, TTL: 9})
-	c := s.Clone()
-	if !s.Equal(c) {
-		t.Fatal("clone differs from original")
-	}
+	c := s
 	if _, err := c.Pop(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Depth() != 2 {
 		t.Error("popping the clone changed the original")
+	}
+	if one, _ := NewStack(Entry{Label: 1, TTL: 9}); c != one || !c.Equal(one) {
+		t.Errorf("popped clone %v differs from %v", c, one)
+	}
+}
+
+// TestStackOpsDoNotAllocate pins the register-file stack at zero
+// allocations for every operation, on an empty and on a full stack.
+func TestStackOpsDoNotAllocate(t *testing.T) {
+	full, _ := NewStack(Entry{Label: 1}, Entry{Label: 2}, Entry{Label: 3})
+	for _, tc := range []struct {
+		name string
+		s    Stack
+	}{{"empty", Stack{}}, {"full", full}} {
+		var s Stack
+		if n := testing.AllocsPerRun(100, func() {
+			s = tc.s
+			_ = s.Push(Entry{Label: 9})
+			_, _ = s.Pop()
+			_ = s.Swap(8)
+			_, _ = s.Pop()
+		}); n != 0 {
+			t.Errorf("%s stack: %v allocations per Push/Pop/Swap, want 0", tc.name, n)
+		}
 	}
 }
 
@@ -239,7 +266,8 @@ func TestWireRoundTripFixed(t *testing.T) {
 	if first := Unpack(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3])); first.Label != 300 {
 		t.Errorf("first wire entry label = %d, want 300 (top first)", first.Label)
 	}
-	got, n, err := DecodeWire(buf)
+	var got Stack
+	n, err := got.DecodeWireInto(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +283,8 @@ func TestDecodeWireTrailingBytesIgnored(t *testing.T) {
 	s, _ := NewStack(Entry{Label: 42, TTL: 1})
 	buf, _ := s.AppendWire(nil)
 	buf = append(buf, 0xde, 0xad)
-	got, n, err := DecodeWire(buf)
+	var got Stack
+	n, err := got.DecodeWireInto(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +296,49 @@ func TestDecodeWireTrailingBytesIgnored(t *testing.T) {
 	}
 }
 
+// wireOf encodes entries top-first exactly as given, S bits included.
+func wireOf(topFirst ...Entry) []byte {
+	var buf []byte
+	for _, e := range topFirst {
+		buf = binary.BigEndian.AppendUint32(buf, e.MustPack())
+	}
+	return buf
+}
+
 func TestDecodeWireErrors(t *testing.T) {
-	if _, _, err := DecodeWire(nil); err == nil {
-		t.Error("decoding an empty buffer should fail")
+	mid, bot := Entry{Label: 5, TTL: 1}, Entry{Label: 6, TTL: 1, Bottom: true}
+	maxDepth := fmt.Sprintf("deeper than max depth %d without bottom bit", MaxDepth)
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		is   error  // wanted via errors.Is, or
+		msg  string // wanted as a substring
+	}{
+		{"empty buffer", nil, ErrNoBottom, ""},
+		{"truncated mid-entry", wireOf(mid, mid, bot)[:10], ErrNoBottom, ""},
+		{"no S bit before the end", wireOf(mid, mid), ErrNoBottom, ""},
+		{"four deep without S", wireOf(mid, mid, mid, mid), nil, maxDepth},
+		{"five deep without S", wireOf(mid, mid, mid, mid, mid), nil, maxDepth},
+		{"four deep with S", wireOf(mid, mid, mid, bot), ErrStackFull, ""},
+	} {
+		s, _ := NewStack(Entry{Label: 77}, Entry{Label: 78})
+		n, err := s.DecodeWireInto(tc.buf)
+		switch {
+		case err == nil:
+			t.Errorf("%s: decoded %d bytes, want an error", tc.name, n)
+		case tc.is != nil && !errors.Is(err, tc.is):
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.is)
+		case tc.msg != "" && !strings.Contains(err.Error(), tc.msg):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.msg)
+		}
+		if s != (Stack{}) {
+			t.Errorf("%s: stack after error = %v, want empty", tc.name, s)
+		}
 	}
-	// Three entries, none with the S bit: runs off the end.
-	e := Entry{Label: 5}
-	buf := make([]byte, 0, 12)
-	for i := 0; i < 3; i++ {
-		buf, _ = (&Stack{entries: []Entry{e}}).AppendWire(buf)
-	}
-	if _, _, err := DecodeWire(buf[:10]); err == nil {
-		t.Error("truncated stack should fail")
+	// Three deep with S on the third is the deepest legal stack.
+	var s Stack
+	if n, err := s.DecodeWireInto(wireOf(mid, mid, bot)); err != nil || n != 12 || s.Depth() != 3 {
+		t.Errorf("three deep: n=%d depth=%d err=%v", n, s.Depth(), err)
 	}
 }
 
@@ -302,11 +362,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, n, err := DecodeWire(buf)
+		var got Stack
+		n, err := got.DecodeWireInto(buf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if n != len(buf) || !got.Equal(s) {
+		if n != len(buf) || !got.Equal(*s) {
 			t.Fatalf("trial %d: round trip mismatch: %v -> %v", trial, s, got)
 		}
 		if !got.Consistent() {

@@ -4,22 +4,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // EntrySize is the wire size of one label stack entry in bytes.
 const EntrySize = 4
 
-// Wire encoding errors.
-var (
-	ErrShortBuffer = errors.New("label: buffer too short for label stack")
-	ErrNoBottom    = errors.New("label: stack encoding has no bottom-of-stack entry")
-)
+// ErrNoBottom is the decode error for a buffer that ends before a
+// bottom-of-stack entry.
+var ErrNoBottom = errors.New("label: stack encoding has no bottom-of-stack entry")
 
 // AppendWire appends the stack in wire order (top entry first, as RFC 3032
 // lays entries after the layer-2 header) to dst and returns the extended
 // slice. An empty stack appends nothing.
-func (s *Stack) AppendWire(dst []byte) ([]byte, error) {
-	for i := len(s.entries) - 1; i >= 0; i-- {
+func (s Stack) AppendWire(dst []byte) ([]byte, error) {
+	for i := int(s.n) - 1; i >= 0; i-- {
 		w, err := s.entries[i].Pack()
 		if err != nil {
 			return nil, err
@@ -30,79 +29,38 @@ func (s *Stack) AppendWire(dst []byte) ([]byte, error) {
 }
 
 // WireSize returns the encoded size of the stack in bytes.
-func (s *Stack) WireSize() int { return len(s.entries) * EntrySize }
+func (s Stack) WireSize() int { return int(s.n) * EntrySize }
 
-// DecodeWire parses a label stack from the front of buf. It consumes
-// entries until one with the S bit set, returning the stack and the number
-// of bytes consumed. A buffer that ends before a bottom-of-stack entry is
-// an encoding error.
-func DecodeWire(buf []byte) (*Stack, int, error) {
-	var topToBottom []Entry
-	off := 0
-	for {
-		if off+EntrySize > len(buf) {
-			return nil, 0, fmt.Errorf("%w (offset %d)", ErrNoBottom, off)
-		}
-		e := Unpack(binary.BigEndian.Uint32(buf[off:]))
-		off += EntrySize
-		topToBottom = append(topToBottom, e)
-		if e.Bottom {
-			break
-		}
-		if len(topToBottom) > MaxDepth {
-			return nil, 0, fmt.Errorf("label: wire stack deeper than max depth %d without bottom bit", MaxDepth)
-		}
-	}
-	// Reverse into bottom-to-top order and rebuild through Push so the
-	// S-bit invariant is re-normalised.
-	s := &Stack{}
-	for i := len(topToBottom) - 1; i >= 0; i-- {
-		if err := s.Push(topToBottom[i]); err != nil {
-			return nil, 0, err
-		}
-	}
-	return s, off, nil
-}
-
-// DecodeWireInto parses a label stack from the front of buf into s,
-// reusing s's storage — the allocation-free twin of DecodeWire for
-// receive paths that decode into pooled packets. Semantics are
-// identical: entries are consumed until the bottom-of-stack bit, the
-// S-bit invariant is re-normalised by position, and the byte count
-// consumed is returned. On error s is left empty.
+// DecodeWireInto parses a label stack from the front of buf into s and
+// returns the number of bytes consumed. Entries are consumed until the
+// one with the S bit set; the bytes after it are not looked at. It fails
+// with ErrNoBottom when buf ends before a bottom-of-stack entry, and with
+// ErrStackFull when the bottom entry is deeper than MaxDepth. On error s
+// is left empty.
 func (s *Stack) DecodeWireInto(buf []byte) (int, error) {
-	s.entries = s.entries[:0]
-	// First pass: find the bottom-of-stack entry to size the stack.
-	n, off := 0, 0
-	for {
+	*s = Stack{}
+	var st Stack
+	for n := 0; ; n++ {
+		off := n * EntrySize
 		if off+EntrySize > len(buf) {
 			return 0, fmt.Errorf("%w (offset %d)", ErrNoBottom, off)
 		}
 		e := Unpack(binary.BigEndian.Uint32(buf[off:]))
-		off += EntrySize
-		n++
-		if e.Bottom {
-			break
-		}
-		if n > MaxDepth {
+		if n == MaxDepth {
+			if e.Bottom {
+				return 0, ErrStackFull
+			}
 			return 0, fmt.Errorf("label: wire stack deeper than max depth %d without bottom bit", MaxDepth)
 		}
+		// Wire order is top-first; storage is bottom-first, so the
+		// entries are reversed once the bottom is found. Only the
+		// bottom entry carries S, so the invariant holds as decoded.
+		st.entries[n] = e
+		if e.Bottom {
+			st.n = uint8(n + 1)
+			slices.Reverse(st.entries[:st.n])
+			*s = st
+			return off + EntrySize, nil
+		}
 	}
-	if n > MaxDepth {
-		return 0, ErrStackFull
-	}
-	if cap(s.entries) < n {
-		s.entries = make([]Entry, n)
-	} else {
-		s.entries = s.entries[:n]
-	}
-	// Second pass: wire order is top-first, storage bottom-first.
-	off = 0
-	for i := n - 1; i >= 0; i-- {
-		e := Unpack(binary.BigEndian.Uint32(buf[off:]))
-		off += EntrySize
-		e.Bottom = i == 0
-		s.entries[i] = e
-	}
-	return off, nil
 }

@@ -126,11 +126,15 @@ func (m *Manager) Register(name string, inst Installer) error {
 // allocLabel hands out platform-wide unique labels. Network-wide
 // uniqueness is a valid special case of per-platform label spaces, and it
 // is what lets a label ride a tunnel unchanged (the paper's Figure 3
-// semantics) without collisions at the tunnel tail.
-func (m *Manager) allocLabel() label.Label {
+// semantics) without collisions at the tunnel tail. It fails once the
+// 20-bit label space is used up.
+func (m *Manager) allocLabel() (label.Label, error) {
+	if m.next > label.MaxLabel {
+		return 0, label.ErrLabelSpaceExhausted
+	}
 	l := m.next
 	m.next++
-	return l
+	return l, nil
 }
 
 // LSP returns an established LSP by id.
@@ -268,6 +272,7 @@ func (m *Manager) setup(id string, fec *FEC, path []string, bw float64, php bool
 	// Ordered downstream allocation: walk hops from egress to ingress.
 	// labelInto[i] is the label carried on the wire into Path[i+1].
 	labelInto := make([]label.Label, len(hops))
+	logged := len(m.Messages)
 	for i := len(hops) - 1; i >= 0; i-- {
 		h := hops[i]
 		if h.tunnel != nil {
@@ -287,7 +292,14 @@ func (m *Manager) setup(id string, fec *FEC, path []string, bw float64, php bool
 			labelInto[i] = 0
 			continue
 		}
-		labelInto[i] = m.allocLabel()
+		var err error
+		if labelInto[i], err = m.allocLabel(); err != nil {
+			// Nothing is installed yet; the mappings logged for the
+			// hops below were never sent.
+			m.Messages = m.Messages[:logged]
+			m.rollback(l)
+			return nil, fmt.Errorf("ldp: LSP %s: %w", id, err)
+		}
 		m.Messages = append(m.Messages, Message{From: h.to, To: h.from, LSP: id, Label: labelInto[i]})
 	}
 

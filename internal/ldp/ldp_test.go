@@ -331,3 +331,29 @@ func TestLSPLookup(t *testing.T) {
 		t.Error("LSP lookup failed")
 	}
 }
+
+// TestSetupRefusedOnceLabelSpaceIsExhausted seeds the allocator two
+// short of the 20-bit limit and provisions three one-label LSPs: the
+// first two take the last two labels, the third is refused with nothing
+// installed and no unpackable mapping logged.
+func TestSetupRefusedOnceLabelSpaceIsExhausted(t *testing.T) {
+	m, fwds := testNet(t)
+	m.next = label.MaxLabel - 1
+	for i, path := range [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
+		_, err := m.SetupLSP(SetupRequest{ID: path[0], FEC: FEC{Dst: dst + packet.Addr(i), PrefixLen: 32}, Path: path})
+		if refused := errors.Is(err, label.ErrLabelSpaceExhausted); refused != (i == 2) || !refused && err != nil {
+			t.Fatalf("LSP %d: err = %v, want only the third refused", i, err)
+		}
+	}
+	if _, ok := m.LSP("c"); ok || fwds["d"].ILMSize() != 0 || len(fwds["c"].FECEntries()) != 0 {
+		t.Error("refused LSP left state behind")
+	}
+	if len(m.Messages) != 2 {
+		t.Errorf("mappings logged: %v, want the two that were sent", m.Messages)
+	}
+	for _, msg := range m.Messages {
+		if _, err := (label.Entry{Label: msg.Label}).Pack(); err != nil {
+			t.Errorf("mapping %+v does not pack: %v", msg, err)
+		}
+	}
+}

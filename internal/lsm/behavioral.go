@@ -15,7 +15,7 @@ import (
 // model for timing).
 type Behavioral struct {
 	ib    infobase.Store
-	stack *label.Stack
+	stack label.Stack
 	rtype RouterType
 
 	drops     *telemetry.DropCounters
@@ -38,7 +38,6 @@ func NewBehavioral(rtype RouterType) *Behavioral {
 func NewBehavioralWithBase(rtype RouterType, ib infobase.Store) *Behavioral {
 	return &Behavioral{
 		ib:    ib,
-		stack: &label.Stack{},
 		rtype: rtype,
 	}
 }
@@ -47,8 +46,8 @@ func NewBehavioralWithBase(rtype RouterType, ib infobase.Store) *Behavioral {
 // ("routing functionality" in the paper's architecture) can populate it.
 func (m *Behavioral) InfoBase() infobase.Store { return m.ib }
 
-// Stack exposes the current label stack.
-func (m *Behavioral) Stack() *label.Stack { return m.stack }
+// Stack returns a copy of the current label stack.
+func (m *Behavioral) Stack() label.Stack { return m.stack }
 
 // RouterType returns the configured router type.
 func (m *Behavioral) RouterType() RouterType { return m.rtype }
@@ -74,6 +73,11 @@ func (m *Behavioral) SetTelemetry(s telemetry.Sink) {
 // the hardware where reset clears the data path registers but routing
 // software owns table contents; use InfoBase().Clear() for a full wipe).
 func (m *Behavioral) Reset() { m.stack.Reset() }
+
+// LoadStack replaces the stack with s: the ingress interface delivering a
+// packet's stack, equivalent to Reset and one UserPush per entry, bottom
+// first.
+func (m *Behavioral) LoadStack(s label.Stack) { m.stack = s }
 
 // UserPush pushes e directly onto the stack ("push from external user").
 func (m *Behavioral) UserPush(e label.Entry) error { return m.stack.Push(e) }

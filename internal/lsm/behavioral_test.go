@@ -193,12 +193,7 @@ func TestBehavioralTunnelRoundTrip(t *testing.T) {
 
 	hop := func(name string, m *Behavioral, wantDepth int) {
 		t.Helper()
-		m.Stack().Reset()
-		for _, e := range stack.Entries() {
-			if err := m.Stack().Push(e); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
+		m.LoadStack(stack)
 		if res := m.Update(UpdateRequest{PacketID: dst}); res.Discarded() {
 			t.Fatalf("%s discarded: %v", name, res.Discard)
 		}

@@ -235,8 +235,8 @@ func (b *Bench) Update(req UpdateRequest) (UpdateResult, int, error) {
 	return res, cycles, nil
 }
 
-// StackSnapshot returns the current hardware stack contents.
-func (b *Bench) StackSnapshot() *label.Stack { return b.HW.Stack.Snapshot() }
+// StackSnapshot returns a copy of the current hardware stack contents.
+func (b *Bench) StackSnapshot() label.Stack { return b.HW.Stack.Snapshot() }
 
 // Sim exposes the underlying simulator (for tracing).
 func (b *Bench) Sim() *rtl.Simulator { return b.HW.Sim }

@@ -216,16 +216,18 @@ func (p *PktProc) Bench() *Bench {
 // Process runs one packet through the hardware interfaces: stack entries
 // (bottom first), the packet identifier and control-path TTL/CoS in,
 // modified stack out. It returns the resulting stack, whether the packet
-// was discarded, and the total cycle count.
-func (p *PktProc) Process(stack []label.Entry, packetID uint32, ttlIn uint8, cosIn label.CoS) (*label.Stack, bool, int, error) {
+// was discarded, and the total cycle count. The stack is returned by
+// value: the caller owns it, and the call allocates nothing.
+func (p *PktProc) Process(stack []label.Entry, packetID uint32, ttlIn uint8, cosIn label.CoS) (label.Stack, bool, int, error) {
+	var out label.Stack
 	hw := p.HW
 	if len(stack) > label.MaxDepth {
-		return nil, false, 0, label.ErrStackFull
+		return out, false, 0, label.ErrStackFull
 	}
 	for i, e := range stack {
 		w, err := e.Pack()
 		if err != nil {
-			return nil, false, 0, err
+			return out, false, 0, err
 		}
 		p.InWord[i].Set(uint64(w))
 	}
@@ -239,16 +241,15 @@ func (p *PktProc) Process(stack []label.Entry, packetID uint32, ttlIn uint8, cos
 	cycles, ok := hw.Sim.StepUntilSet(p.Ready, max)
 	p.Start.SetBool(false)
 	if !ok {
-		return nil, false, cycles, ErrTimeout
+		return out, false, cycles, ErrTimeout
 	}
 	// Drain the done state back to idle.
 	hw.Sim.Step()
 
-	out := &label.Stack{}
 	n := int(p.OutCount.Get())
 	for i := 0; i < n; i++ {
 		if err := out.Push(label.Unpack(uint32(p.OutWords[i].Get()))); err != nil {
-			return nil, false, cycles, err
+			return label.Stack{}, false, cycles, err
 		}
 	}
 	return out, hw.PacketDiscard.Bool(), cycles, nil

@@ -37,12 +37,7 @@ func (m *Behavioral) ProcessPacket(p *packet.Packet) swmpls.Result {
 	if wasLabelled {
 		oldTop, _ = p.Stack.Top()
 	}
-	m.Reset()
-	for _, e := range p.Stack.Entries() {
-		if err := m.UserPush(e); err != nil {
-			return swmpls.Result{Action: swmpls.Drop, Drop: swmpls.DropStackOverflow}
-		}
-	}
+	m.stack = p.Stack
 	res := m.Update(UpdateRequest{PacketID: p.Identifier(), TTLIn: p.Header.TTL})
 	if res.Discarded() {
 		drop := res.Discard.Drop()
@@ -53,7 +48,7 @@ func (m *Behavioral) ProcessPacket(p *packet.Packet) swmpls.Result {
 		}
 		return swmpls.Result{Action: swmpls.Drop, Drop: drop}
 	}
-	p.Stack = m.Stack().Clone()
+	p.Stack = m.stack
 	if res.Op == label.OpPop && p.Stack.Empty() {
 		// End of the LSP: write the decremented TTL back to the IP header.
 		ttl := oldTop.TTL

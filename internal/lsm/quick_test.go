@@ -150,7 +150,7 @@ func TestLookupNeverMutates(t *testing.T) {
 		m := NewBehavioral(LSR)
 		_ = m.WritePair(infobase.Level2, infobase.Pair{Index: 7, NewLabel: 8, Op: label.OpSwap})
 		_ = m.UserPush(label.Entry{Label: 1, TTL: 9})
-		beforeStack := m.Stack().Clone()
+		beforeStack := m.Stack()
 		beforeCount := m.InfoBase().Count(infobase.Level2)
 		for _, k := range keys {
 			lv := infobase.Level(1 + k%3)

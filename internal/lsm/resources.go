@@ -1,6 +1,9 @@
 package lsm
 
-import "embeddedmpls/internal/infobase"
+import (
+	"embeddedmpls/internal/infobase"
+	"embeddedmpls/internal/label"
+)
 
 // Resources estimates the FPGA resource footprint of the label stack
 // modifier, reproducing the paper's closing claim that "the architecture
@@ -34,9 +37,11 @@ func EstimateResources() Resources {
 		r.RAMBits += w * infobase.EntriesPerLevel
 	}
 
-	// Data path registers.
-	r.RegisterBits += 32 * 3 // label stack entries (MaxDepth)
-	r.RegisterBits += 2      // stack item count
+	// Data path registers. The stack file is what label.Stack holds:
+	// MaxDepth entries and an item count.
+	r.RegisterBits += 32 * label.MaxDepth // label stack entries
+	r.RegisterBits += 2                   // stack item count
+
 	r.RegisterBits += 32     // old-entry register
 	r.RegisterBits += 32     // new-entry register
 	r.RegisterBits += 20 + 2 // label_out + operation_out

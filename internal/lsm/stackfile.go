@@ -101,8 +101,8 @@ func (s *StackFile) drive() {
 
 // Snapshot copies the current stack contents into a label.Stack for
 // test-bench inspection.
-func (s *StackFile) Snapshot() *label.Stack {
-	st := &label.Stack{}
+func (s *StackFile) Snapshot() label.Stack {
+	var st label.Stack
 	for i := 0; i < s.size; i++ {
 		if err := st.Push(label.Unpack(s.entries[i])); err != nil {
 			panic("lsm: stack file deeper than label.MaxDepth: " + err.Error())

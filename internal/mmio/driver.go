@@ -216,27 +216,27 @@ func (d *Driver) Update(packetID uint32, ttlIn uint8, cosIn label.CoS) (bool, er
 
 // Stack reads the whole stack back, destructively (pop by pop), the way
 // an egress interface in software would.
-func (d *Driver) Stack() (*label.Stack, error) {
-	var topFirst []label.Entry
+func (d *Driver) Stack() (label.Stack, error) {
+	var popped, out label.Stack // popped holds the hardware's top at its bottom
 	for {
 		size, err := d.bus.Read(RegStackSize)
 		if err != nil {
-			return nil, err
+			return label.Stack{}, err
 		}
 		if size == 0 {
 			break
 		}
 		e, err := d.Pop()
+		if err == nil {
+			err = popped.Push(e)
+		}
 		if err != nil {
-			return nil, err
+			return label.Stack{}, err
 		}
-		topFirst = append(topFirst, e)
 	}
-	out := &label.Stack{}
-	for i := len(topFirst) - 1; i >= 0; i-- {
-		if err := out.Push(topFirst[i]); err != nil {
-			return nil, err
-		}
+	for !popped.Empty() {
+		e, _ := popped.Pop()
+		_ = out.Push(e) // the S bits are renormalised here
 	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"embeddedmpls/internal/label"
 )
 
 // FuzzUnmarshal is a native fuzz target (seeds run under plain go test;
@@ -16,6 +19,19 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(buf)
 	f.Add([]byte{0x88, 0x00, 0x01, 0x21, 0x3f})
 	f.Add([]byte{0x45})
+	// Label stacks at and past the register file's depth: three deep,
+	// four deep with an S bit (ErrStackFull), four deep without one.
+	for _, c := range []struct {
+		depth int
+		sBit  bool
+	}{{3, true}, {4, true}, {4, false}} {
+		buf := []byte{magicMPLS}
+		for i := 0; i < c.depth; i++ {
+			e := label.Entry{Label: label.Label(100 + i), TTL: 9, Bottom: c.sBit && i == c.depth-1}
+			buf = binary.BigEndian.AppendUint32(buf, e.MustPack())
+		}
+		f.Add(append(buf, make([]byte, headerSize)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := Unmarshal(data)
 		if err != nil {

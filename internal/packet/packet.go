@@ -53,8 +53,10 @@ const HeaderSize = headerSize
 // Packet is one network packet, possibly labelled.
 type Packet struct {
 	Header Header
-	// Stack is the MPLS label stack; empty for an unlabelled packet.
-	Stack *label.Stack
+	// Stack is the MPLS label stack; empty (the zero value) for an
+	// unlabelled packet. It is held by value, so copying a Packet copies
+	// its labels.
+	Stack label.Stack
 	// Payload is the application data. Only its length matters to the
 	// data plane, but contents round-trip so tests can check integrity.
 	Payload []byte
@@ -69,13 +71,12 @@ type Packet struct {
 func New(src, dst Addr, ttl uint8, payload []byte) *Packet {
 	return &Packet{
 		Header:  Header{Src: src, Dst: dst, TTL: ttl},
-		Stack:   &label.Stack{},
 		Payload: payload,
 	}
 }
 
 // Labelled reports whether the packet carries any MPLS labels.
-func (p *Packet) Labelled() bool { return p.Stack != nil && !p.Stack.Empty() }
+func (p *Packet) Labelled() bool { return !p.Stack.Empty() }
 
 // Identifier returns the packet identifier the embedded architecture
 // searches level 1 with: for IP packets, the destination address.
@@ -84,20 +85,13 @@ func (p *Packet) Identifier() uint32 { return uint32(p.Header.Dst) }
 // Size returns the wire size of the packet in bytes, including the MPLS
 // shim if present.
 func (p *Packet) Size() int {
-	n := headerSize + len(p.Payload)
-	if p.Stack != nil {
-		n += p.Stack.WireSize()
-	}
-	return n
+	return headerSize + p.Stack.WireSize() + len(p.Payload)
 }
 
 // Clone deep-copies the packet so simulated links can fan out without
-// aliasing.
+// aliasing: one struct copy (labels included) and one payload copy.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	if p.Stack != nil {
-		q.Stack = p.Stack.Clone()
-	}
 	q.Payload = append([]byte(nil), p.Payload...)
 	return &q
 }
@@ -148,16 +142,15 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	if len(buf) < 1 {
 		return nil, ErrTruncated
 	}
-	p := &Packet{Stack: &label.Stack{}}
+	p := &Packet{}
 	rest := buf[1:]
 	switch buf[0] {
 	case magicIP:
 	case magicMPLS:
-		st, n, err := label.DecodeWire(rest)
+		n, err := p.Stack.DecodeWireInto(rest)
 		if err != nil {
 			return nil, err
 		}
-		p.Stack = st
 		rest = rest[n:]
 	default:
 		return nil, fmt.Errorf("%w: %#x", ErrBadMagic, buf[0])

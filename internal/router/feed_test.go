@@ -188,11 +188,12 @@ func TestFeedToIPFallbackStaysSerial(t *testing.T) {
 }
 
 // TestFeedToAllocatesOnlyTheClones pins the sink at Clone's allocation
-// count per packet — 4 for a one-label packet with payload (packet,
-// stack, entries, payload), 3 for an unlabelled one — for a labelled
-// and an unlabelled batch: classification, guard admission and the
-// pinned submit add nothing. Moving receive-buffer ownership into the
-// engine instead of cloning is what lowers these numbers.
+// count per packet — 2, the packet and its payload, labelled or not:
+// the label stack is a value inside the packet, so copying the struct
+// copies the labels — for a labelled and an unlabelled batch:
+// classification, guard admission and the pinned submit add nothing.
+// Moving receive-buffer ownership into the engine instead of cloning is
+// what lowers this number.
 func TestFeedToAllocatesOnlyTheClones(t *testing.T) {
 	const batchLen, runs = 16, 50
 	cases := []struct {
@@ -200,8 +201,8 @@ func TestFeedToAllocatesOnlyTheClones(t *testing.T) {
 		packet func(i int) *packet.Packet
 		clone  float64
 	}{
-		{"labelled", func(i int) *packet.Packet { return pumpPacketPayload(100, uint16(i)) }, 4},
-		{"unlabelled", func(i int) *packet.Packet { return plainTo(packet.AddrFrom(10, 1, 2, byte(i)), 64, uint64(i)) }, 3},
+		{"labelled", func(i int) *packet.Packet { return pumpPacketPayload(100, uint16(i)) }, 2},
+		{"unlabelled", func(i int) *packet.Packet { return plainTo(packet.AddrFrom(10, 1, 2, byte(i)), 64, uint64(i)) }, 2},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -649,10 +649,12 @@ func (s *Speaker) handleRequest(m *Message) {
 			// implicit null and install nothing.
 			l.inLabel = label.ImplicitNull
 		} else {
-			l.inLabel = s.allocLabel()
-			if err := s.r.InstallILM(l.inLabel, swmpls.NHLFE{Op: label.OpPop}); err != nil {
-				delete(s.lsps, id)
-				s.sendError(l, ErrCodeBadRequest, te.LinkKey{})
+			var err error
+			if l.inLabel, err = s.allocLabel(); err == nil {
+				err = s.r.InstallILM(l.inLabel, swmpls.NHLFE{Op: label.OpPop})
+			}
+			if err != nil {
+				s.refuse(l)
 				return
 			}
 			l.ilmInstalled = true
@@ -731,7 +733,11 @@ func (s *Speaker) handleMapping(peer string, m *Message) {
 		return
 	}
 	if l.inLabel == 0 {
-		l.inLabel = s.allocLabel()
+		var err error
+		if l.inLabel, err = s.allocLabel(); err != nil {
+			s.refuse(l)
+			return
+		}
 	}
 	n := swmpls.NHLFE{NextHop: l.downstream, Op: label.OpSwap, PushLabels: []label.Label{m.Label}}
 	if m.Label == label.ImplicitNull {
@@ -1058,10 +1064,25 @@ func (s *Speaker) tearLocal(l *lsp, skipFEC bool) {
 	l.mapped = false
 }
 
-func (s *Speaker) allocLabel() label.Label {
+// refuse rejects an LSP this node cannot carry: an error upstream, a
+// release to the downstream that may already have mapped it, and no
+// local state left behind.
+func (s *Speaker) refuse(l *lsp) {
+	s.sendError(l, ErrCodeBadRequest, te.LinkKey{})
+	s.sendRelease(l)
+	s.tearLocal(l, false)
+	delete(s.lsps, l.id)
+}
+
+// allocLabel hands out the next label, failing once the 20-bit label
+// space is used up.
+func (s *Speaker) allocLabel() (label.Label, error) {
+	if s.next > label.MaxLabel {
+		return 0, label.ErrLabelSpaceExhausted
+	}
 	l := s.next
 	s.next++
-	return l
+	return l, nil
 }
 
 func (s *Speaker) event(e telemetry.Event) {

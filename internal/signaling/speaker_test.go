@@ -1,10 +1,13 @@
 package signaling
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
@@ -386,5 +389,54 @@ func TestSpeakerSetupValidation(t *testing.T) {
 		if err := a.Setup(req, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestSpeakerRefusesOnceLabelSpaceIsExhausted seeds one node's label
+// allocator two short of the 20-bit limit and signals three LSPs
+// through it: the first two take the last two labels, the third is
+// refused cleanly — the ingress reports the failure, no node keeps
+// state for it, and every installed label still packs onto the wire.
+func TestSpeakerRefusesOnceLabelSpaceIsExhausted(t *testing.T) {
+	for _, seeded := range []string{"b", "d"} { // transit, egress
+		t.Run(seeded, func(t *testing.T) {
+			net := diamond(t)
+			speakers, err := Deploy(net, WithUntil(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			speakers[seeded].next = label.MaxLabel - 1
+			net.Sim.RunUntil(0.3)
+			var setupErrs [3]error
+			for i := range setupErrs {
+				setupErrs[i] = errors.New("setup never completed")
+				dst := packet.AddrFrom(10, 0, 0, byte(9+i))
+				req := ldp.SetupRequest{ID: fmt.Sprint("l", i), FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"}}
+				if err := speakers["a"].Setup(req, func(e error) { setupErrs[i] = e }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Sim.RunUntil(1)
+			if setupErrs[0] != nil || setupErrs[1] != nil || setupErrs[2] == nil {
+				t.Errorf("setup results %v, want only the third refused", setupErrs)
+			}
+			for _, name := range []string{"a", "b", "d"} {
+				if l := speakers[name].lsps["l2#1"]; l != nil {
+					t.Errorf("%s keeps state for the refused LSP: %+v", name, l)
+				}
+				tr, _ := net.Router(name).Tables()
+				ilms := tr.ILMEntries()
+				if name == seeded && len(ilms) != 2 {
+					t.Errorf("%s holds %d ILM entries, want 2", name, len(ilms))
+				}
+				for _, e := range ilms {
+					for _, l := range append([]label.Label{e.In}, e.NHLFE.PushLabels...) {
+						if _, err := (label.Entry{Label: l}).Pack(); err != nil {
+							t.Errorf("%s: installed label %d does not pack: %v", name, l, err)
+						}
+					}
+				}
+			}
+		})
 	}
 }

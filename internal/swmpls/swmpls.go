@@ -356,7 +356,7 @@ func (f *Forwarder) ApplyResolved(p *packet.Packet, n NHLFE) Result {
 // stackState captures the incoming stack depth and top label for trace
 // attribution, before Forward mutates the packet.
 func stackState(p *packet.Packet) (uint8, uint32) {
-	if p.Stack == nil || p.Stack.Empty() {
+	if p.Stack.Empty() {
 		return 0, 0
 	}
 	var top uint32

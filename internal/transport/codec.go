@@ -79,11 +79,7 @@ var (
 
 // EncodedSize returns the wire size of p in bytes.
 func EncodedSize(p *packet.Packet) int {
-	n := headerSize + ipHeaderSize + len(p.Payload)
-	if p.Stack != nil {
-		n += p.Stack.WireSize()
-	}
-	return n
+	return headerSize + p.Stack.WireSize() + ipHeaderSize + len(p.Payload)
 }
 
 // AppendPacket appends the wire encoding of p, sent by node src, to dst
@@ -124,8 +120,8 @@ func AppendPacket(dst []byte, p *packet.Packet, src NodeID) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePacket parses one datagram into p, reusing p's stack and
-// payload storage (the allocation-free receive path), and returns the
+// DecodePacket parses one datagram into p, decoding the labels into p's
+// embedded stack and reusing its payload storage (the allocation-free receive path), and returns the
 // sending node's id. On error p's contents are unspecified; reuse it
 // only for the next decode. Bytes beyond the declared payload length
 // are treated as padding and dropped, like layer-2 padding.
@@ -147,9 +143,6 @@ func DecodePacket(p *packet.Packet, buf []byte) (NodeID, error) {
 	p.SeqNo = binary.BigEndian.Uint64(buf[8:])
 	p.SentAt = math.Float64frombits(binary.BigEndian.Uint64(buf[16:]))
 	rest := buf[headerSize:]
-	if p.Stack == nil {
-		p.Stack = &label.Stack{}
-	}
 	if flags&flagLabelled != 0 {
 		n, err := p.Stack.DecodeWireInto(rest)
 		if err != nil {
@@ -180,7 +173,5 @@ func DecodePacket(p *packet.Packet, buf []byte) (NodeID, error) {
 // opposed to corruption of a well-sized datagram) for the receiver's
 // short-read accounting.
 func truncation(err error) bool {
-	return errors.Is(err, ErrTruncated) ||
-		errors.Is(err, label.ErrNoBottom) ||
-		errors.Is(err, label.ErrShortBuffer)
+	return errors.Is(err, ErrTruncated) || errors.Is(err, label.ErrNoBottom)
 }

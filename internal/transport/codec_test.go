@@ -181,6 +181,25 @@ func TestCodecAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("decode allocates %v per op, want 0", n)
 	}
+
+	// A reused packet takes a full three-deep stack and an unlabelled
+	// datagram in turn without allocating: the labels decode into the
+	// stack embedded in the packet.
+	deep, plain := samplePacket(t), samplePacket(t)
+	_ = deep.Stack.Push(label.Entry{Label: 18, TTL: 62})
+	plain.Stack.Reset()
+	encDeep, _ := AppendPacket(nil, deep, 1)
+	encPlain, _ := AppendPacket(nil, plain, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		_, err1 := DecodePacket(&got, encDeep)
+		depth := got.Stack.Depth()
+		_, err2 := DecodePacket(&got, encPlain)
+		if err1 != nil || err2 != nil || depth != 3 || got.Labelled() {
+			t.Fatalf("decoded depth %d then %v: %v, %v", depth, got.Stack, err1, err2)
+		}
+	}); n != 0 {
+		t.Errorf("decode into a reused packet allocates %v per pair, want 0", n)
+	}
 }
 
 // FuzzWireDecode feeds arbitrary bytes to the decoder: it must reject
