@@ -13,8 +13,10 @@ build:
 # decoder and the packet decoder must strictly round-trip whatever they
 # accept. The management-plane smoke rides along: golden wire fixtures,
 # error envelopes, and the three-process mplsctl acceptance run. So does the paper's evaluation: results/ must
-# regenerate byte for byte.
+# regenerate byte for byte. Every tracked Go file must be gofmt-clean.
 test: mgmt reproduce-check
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go test ./...
 	go test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/transport
@@ -51,7 +53,8 @@ reproduce-check:
 # The concurrent dataplane is the package the race detector exists for:
 # run it explicitly (and with -count=2 for scheduling variety) on top of
 # the repo-wide pass. The fault-injection and resilience packages ride
-# along: their chaos scenarios must stay race-clean too, as must the
+# along: their chaos scenarios, which drive the signaling speakers
+# through the session healer, must stay race-clean too, as must the
 # batched flow-cache path and the infobase stores' atomic publication
 # (concurrent lookups during writes). The transport package lives on
 # socket goroutines end to end, so it gets the same treatment, plus the

@@ -116,14 +116,14 @@ type handoff struct{ next *node }
 func (h handoff) Flush(_ string, ps []*packet.Packet) {
 	h.next.eng.Submit(ps, dataplane.SubmitOpts{Wait: true})
 }
-func (h handoff) Deliver([]*packet.Packet) {}
+func (h handoff) Deliver([]*packet.Packet)                      {}
 func (h handoff) Discard([]*packet.Packet, []swmpls.DropReason) {}
 
 // counter tallies the packets the egress LER delivers to the IP side.
 type counter struct{ received *atomic.Uint64 }
 
-func (c counter) Flush(string, []*packet.Packet) {}
-func (c counter) Deliver(ps []*packet.Packet)    { c.received.Add(uint64(len(ps))) }
+func (c counter) Flush(string, []*packet.Packet)                {}
+func (c counter) Deliver(ps []*packet.Packet)                   { c.received.Add(uint64(len(ps))) }
 func (c counter) Discard([]*packet.Packet, []swmpls.DropReason) {}
 
 func check(err error) {

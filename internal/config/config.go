@@ -123,15 +123,15 @@ type GuardSection struct {
 // the guard on Node polices what arrives from Peer. Unset fields
 // (nil/zero) inherit the section defaults.
 type GuardLink struct {
-	Node                string   `json:"node"`
-	Peer                string   `json:"peer"`
-	SpoofFilter         *bool    `json:"spoof_filter,omitempty"`
-	TTLMin              int      `json:"ttl_min,omitempty"`
-	RatePPS             float64  `json:"rate_pps,omitempty"`
-	Burst               int      `json:"burst,omitempty"`
-	QuarantineThreshold int      `json:"quarantine_threshold,omitempty"`
-	QuarantineWindowS   float64  `json:"quarantine_window_s,omitempty"`
-	QuarantineHoldS     float64  `json:"quarantine_hold_s,omitempty"`
+	Node                string  `json:"node"`
+	Peer                string  `json:"peer"`
+	SpoofFilter         *bool   `json:"spoof_filter,omitempty"`
+	TTLMin              int     `json:"ttl_min,omitempty"`
+	RatePPS             float64 `json:"rate_pps,omitempty"`
+	Burst               int     `json:"burst,omitempty"`
+	QuarantineThreshold int     `json:"quarantine_threshold,omitempty"`
+	QuarantineWindowS   float64 `json:"quarantine_window_s,omitempty"`
+	QuarantineHoldS     float64 `json:"quarantine_hold_s,omitempty"`
 }
 
 // policy renders the section defaults as a guard policy.
@@ -435,8 +435,7 @@ type Built struct {
 	Collector *trafficgen.Collector
 	// Egresses lists the routers where flows terminate.
 	Egresses []string
-	// LocalNode is set by BuildNode/BuildNodeGhost: the one router this
-	// process runs.
+	// LocalNode is set by BuildNode: the one router this process runs.
 	LocalNode string
 	// Speaker is set by BuildNode: the local signaling instance. LSPs
 	// whose ingress is this node are signalled through it; all label
@@ -462,51 +461,7 @@ type Built struct {
 
 // Build constructs the network, establishes tunnels and LSPs, installs
 // the traffic generators and wires collectors at every LSP egress.
-func (s *Scenario) Build() (*Built, error) { return s.build("") }
-
-// specs converts the scenario's nodes and links to router-layer specs.
-func (s *Scenario) specs() ([]router.NodeSpec, []router.LinkSpec) {
-	var nodes []router.NodeSpec
-	for _, n := range s.Nodes {
-		rt := lsm.LER
-		if n.Type == "lsr" {
-			rt = lsm.LSR
-		}
-		nodes = append(nodes, router.NodeSpec{
-			Name:       n.Name,
-			Hardware:   n.Plane == "hardware",
-			RouterType: rt,
-		})
-	}
-	var links []router.LinkSpec
-	for _, l := range s.Links {
-		spec := router.LinkSpec{
-			A: l.A, B: l.B,
-			RateBPS:   l.RateMbps * 1e6,
-			Delay:     l.DelayMs / 1e3,
-			QueueCap:  l.QueueCap,
-			Metric:    l.Metric,
-			Transport: l.Transport,
-			Coalesce:  l.Coalesce,
-			SysBatch:  l.SysBatch,
-		}
-		switch l.Queue {
-		case "priority":
-			spec.NewQueue = func(c int) qos.Scheduler { return qos.NewPriority(c) }
-		case "wrr":
-			spec.NewQueue = func(c int) qos.Scheduler {
-				return qos.NewWRR(c, [qos.NumClasses]int{1, 1, 1, 1, 2, 2, 4, 4})
-			}
-		}
-		links = append(links, spec)
-	}
-	return nodes, links
-}
-
-// build does the full in-process construction; with local set, traffic
-// generators are installed only for flows originating at that node (the
-// others belong to their own processes).
-func (s *Scenario) build(local string) (*Built, error) {
+func (s *Scenario) Build() (*Built, error) {
 	nodes, links := s.specs()
 	net, err := router.Build(nodes, links)
 	if err != nil {
@@ -559,9 +514,6 @@ func (s *Scenario) build(local string) (*Built, error) {
 	}
 
 	for _, f := range s.Flows {
-		if local != "" && f.From != local {
-			continue
-		}
 		gen, err := s.generator(f)
 		if err != nil {
 			return nil, err
@@ -569,6 +521,45 @@ func (s *Scenario) build(local string) (*Built, error) {
 		gen.Install(net.Sim, net.Router(f.From), collector)
 	}
 	return &Built{Scenario: s, Net: net, Collector: collector, Egresses: egresses}, nil
+}
+
+// specs converts the scenario's nodes and links to router-layer specs.
+func (s *Scenario) specs() ([]router.NodeSpec, []router.LinkSpec) {
+	var nodes []router.NodeSpec
+	for _, n := range s.Nodes {
+		rt := lsm.LER
+		if n.Type == "lsr" {
+			rt = lsm.LSR
+		}
+		nodes = append(nodes, router.NodeSpec{
+			Name:       n.Name,
+			Hardware:   n.Plane == "hardware",
+			RouterType: rt,
+		})
+	}
+	var links []router.LinkSpec
+	for _, l := range s.Links {
+		spec := router.LinkSpec{
+			A: l.A, B: l.B,
+			RateBPS:   l.RateMbps * 1e6,
+			Delay:     l.DelayMs / 1e3,
+			QueueCap:  l.QueueCap,
+			Metric:    l.Metric,
+			Transport: l.Transport,
+			Coalesce:  l.Coalesce,
+			SysBatch:  l.SysBatch,
+		}
+		switch l.Queue {
+		case "priority":
+			spec.NewQueue = func(c int) qos.Scheduler { return qos.NewPriority(c) }
+		case "wrr":
+			spec.NewQueue = func(c int) qos.Scheduler {
+				return qos.NewWRR(c, [qos.NumClasses]int{1, 1, 1, 1, 2, 2, 4, 4})
+			}
+		}
+		links = append(links, spec)
+	}
+	return nodes, links
 }
 
 // BuildNode constructs the scenario for one process of a distributed
@@ -580,9 +571,8 @@ func (s *Scenario) build(local string) (*Built, error) {
 // to the neighbours, and every LSP whose ingress is this node is
 // signalled through it — label bindings for transit and egress roles
 // arrive over the wire from peers. Tunnels are not supported in
-// distributed mode (use BuildNodeGhost for the legacy behaviour). Only
-// flows originating at the node are installed. Drive the result with
-// Net.RunReal, and Close the network when done.
+// distributed mode. Only flows originating at the node are installed.
+// Drive the result with Net.RunReal, and Close the network when done.
 func (s *Scenario) BuildNode(name string) (*Built, error) {
 	if s.Transport == nil {
 		return nil, fmt.Errorf("%w: scenario has no transport section", ErrValidation)
@@ -797,61 +787,6 @@ func (s *Scenario) BuildNode(name string) (*Built, error) {
 		net.Close()
 		return nil, err
 	}
-	return b, nil
-}
-
-// BuildNodeGhost is the legacy distributed construction: the full
-// topology is built in-process — identical construction order on every
-// process, so the in-process LDP manager's label allocation agrees
-// everywhere — and the named router's links are then replaced with UDP
-// transport links. The rest of the topology stays as an inert ghost
-// that never sees a packet. It exists for simulation-parity experiments
-// only; BuildNode is the real distributed path, where label bindings
-// travel over the wire instead of being assumed.
-func (s *Scenario) BuildNodeGhost(name string) (*Built, error) {
-	if s.Transport == nil {
-		return nil, fmt.Errorf("%w: scenario has no transport section", ErrValidation)
-	}
-	laddr, ok := s.Transport.Nodes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: transport section has no address for node %q", ErrValidation, name)
-	}
-	b, err := s.build(name)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(s.Nodes))
-	ids := make(map[string]transport.NodeID, len(s.Nodes))
-	for i, n := range s.Nodes {
-		names[i] = n.Name
-		ids[n.Name] = transport.NodeID(i)
-	}
-	base := append(b.Net.TransportOptions(), s.Transport.options()...)
-	rcv, err := transport.Listen(laddr, b.Net.DeliverTo(name),
-		append(append([]transport.Option{}, base...), transport.WithNames(names))...)
-	if err != nil {
-		b.Net.Close()
-		return nil, fmt.Errorf("config: node %s: %w", name, err)
-	}
-	b.Net.Manage(rcv)
-	local := b.Net.Router(name)
-	for _, w := range local.Links() {
-		nb := w.To()
-		raddr, ok := s.Transport.Nodes[nb]
-		if !ok {
-			b.Net.Close()
-			return nil, fmt.Errorf("%w: transport section has no address for neighbour %q of %q", ErrValidation, nb, name)
-		}
-		l, err := transport.Dial(name, nb, raddr,
-			append(append([]transport.Option{}, base...), transport.WithSource(ids[name]))...)
-		if err != nil {
-			b.Net.Close()
-			return nil, fmt.Errorf("config: node %s: %w", name, err)
-		}
-		local.AttachLink(l)
-		b.Net.Manage(l)
-	}
-	b.LocalNode = name
 	return b, nil
 }
 

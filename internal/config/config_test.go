@@ -251,26 +251,6 @@ func TestBuildNodePeerScoped(t *testing.T) {
 	}
 }
 
-// TestBuildNodeGhost pins the legacy behaviour: every router is built
-// in-process and label state is precomputed, no signaling involved.
-func TestBuildNodeGhost(t *testing.T) {
-	s, err := Load(strings.NewReader(distributedLine(loopbackAddrs(t, 3))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.BuildNodeGhost("core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Net.Close()
-	if len(b.Net.Routers) != 3 {
-		t.Errorf("BuildNodeGhost built %d routers, want the full topology", len(b.Net.Routers))
-	}
-	if b.Speaker != nil {
-		t.Error("ghost build should not create a speaker")
-	}
-}
-
 // TestLoadRejectsBadGuardSections covers the admission-guard knobs:
 // range checks on the defaults and topology checks on the per-link
 // overrides.

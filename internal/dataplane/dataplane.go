@@ -197,7 +197,7 @@ func (e *Engine) Workers() int { return len(e.shards) }
 func (e *Engine) Drops() *telemetry.DropCounters { return e.drops.Load() }
 
 // SetTelemetry attaches the unified observability sink (the
-// plane.Plane hook). The trace ring and node name take effect at each
+// router.DataPlane hook). The trace ring and node name take effect at each
 // worker's next batch. A non-nil s.Drops replaces the engine's drop
 // counters — a snapshot carrying them is published, every shard's
 // admission accounting is repointed, and prior counts stay in the old
@@ -405,23 +405,6 @@ func forward(tbl *swmpls.Forwarder, p *packet.Packet) swmpls.Result {
 // statistics.
 func (e *Engine) ProcessInline(p *packet.Packet) swmpls.Result {
 	return forward(e.table.Load(), p)
-}
-
-// ProcessPacket implements the unified plane contract (plane.Plane):
-// one table pass against the current snapshot on the caller's
-// goroutine, the caller driving any multi-pass re-examination.
-// ProcessInline runs the full program in one call instead.
-func (e *Engine) ProcessPacket(p *packet.Packet) swmpls.Result {
-	depth := p.Stack.Depth()
-	var inLabel uint32
-	if top, err := p.Stack.Top(); err == nil {
-		inLabel = uint32(top.Label)
-	}
-	res := e.table.Load().Forward(p)
-	if ts := e.tsink.Load(); ts.ring != nil {
-		ts.traceResult(depth, inLabel, res)
-	}
-	return res
 }
 
 // worker drains one shard until the engine closes and the queue empties.

@@ -34,9 +34,9 @@ type Egress interface {
 
 // Egress flush triggers, indexed into shard.egFlush.
 const (
-	egressTriggerSize = iota // a staging ring reached the flush size
-	egressTriggerTimer       // the flush interval expired with the queue idle
-	egressTriggerClose       // the engine closed and the rings drained
+	egressTriggerSize  = iota // a staging ring reached the flush size
+	egressTriggerTimer        // the flush interval expired with the queue idle
+	egressTriggerClose        // the engine closed and the rings drained
 	numEgressTriggers
 )
 

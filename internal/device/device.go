@@ -81,20 +81,13 @@ func NewWithSearch(rtype lsm.RouterType, clock lsm.Clock, search lsm.SearchKind)
 // Clock returns the device clock.
 func (d *Device) Clock() lsm.Clock { return d.clock }
 
-// SetTelemetry attaches the unified sink (the plane.Plane hook): the
+// SetTelemetry attaches the unified sink (the router.DataPlane hook): the
 // trace ring goes to the modifier, which records every update; drop
 // counting stays at the device level, covering the whole pipeline
 // (ingress overflow, modifier discards, next-hop misses).
 func (d *Device) SetTelemetry(s telemetry.Sink) {
 	d.drops = s.Drops
 	d.mod.SetTrace(s.Trace, s.Node)
-}
-
-// ProcessPacket is Process under the unified plane contract; cycle
-// accounting still accumulates in TotalCycles.
-func (d *Device) ProcessPacket(p *packet.Packet) swmpls.Result {
-	res, _ := d.Process(p)
-	return res
 }
 
 // dropRes builds a drop result and feeds the attached counters.

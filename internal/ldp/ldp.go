@@ -402,31 +402,13 @@ func (m *Manager) install(l *LSP, hops []pathHop, labelInto []label.Label, php b
 // first, the ingress FTN entry is atomically replaced (installers have
 // replace semantics per FEC), and only then is the old path's state torn
 // down. The break is immediate, so in-flight packets on the old path are
-// lost when their labels disappear; callers that can wait out the drain
-// should use RerouteDeferred instead. Tunnels cannot be rerouted while
-// in use.
+// lost when their labels disappear; the signaling speaker's reroute
+// holds the old path for a drain delay instead. Tunnels cannot be
+// rerouted while in use.
 func (m *Manager) Reroute(id string, newPath []string) error {
-	brk, err := m.RerouteDeferred(id, newPath)
-	if err != nil {
-		return err
-	}
-	brk()
-	return nil
-}
-
-// RerouteDeferred is Reroute with the break under the caller's control:
-// the new path carries all freshly injected traffic the moment this
-// returns, but the old path's label entries and reservations stay
-// installed until the returned break function is called. Calling it
-// after the longest in-flight packet has drained makes the switch
-// genuinely lossless. The break function is idempotent and must be
-// called eventually — until then the old path's bandwidth stays
-// reserved (both paths are held during the transition, as
-// make-before-break requires).
-func (m *Manager) RerouteDeferred(id string, newPath []string) (func(), error) {
 	old, ok := m.lsps[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownLSP, id)
+		return fmt.Errorf("%w: %q", ErrUnknownLSP, id)
 	}
 	if old.Tunnel {
 		for _, other := range m.lsps {
@@ -434,7 +416,7 @@ func (m *Manager) RerouteDeferred(id string, newPath []string) (func(), error) {
 				if other != old && other.Path[i] == old.Path[0] &&
 					other.Path[i+1] == old.Path[len(old.Path)-1] {
 					if _, direct := m.topo.Link(other.Path[i], other.Path[i+1]); !direct {
-						return nil, fmt.Errorf("%w: %q rides %q", ErrTunnelInUse, other.ID, id)
+						return fmt.Errorf("%w: %q rides %q", ErrTunnelInUse, other.ID, id)
 					}
 				}
 			}
@@ -446,20 +428,14 @@ func (m *Manager) RerouteDeferred(id string, newPath []string) (func(), error) {
 	fresh, err := m.setup(id, old.FEC, newPath, old.Bandwidth, old.PHP, old.CoS)
 	if err != nil {
 		m.lsps[id] = old
-		return nil, err
+		return err
 	}
 	fresh.Tunnel = old.Tunnel
 	// Break: remove the old path's label entries and reservations. The
 	// ingress FTN was already replaced by the new install, so it must
 	// not be removed here.
-	broken := false
-	return func() {
-		if broken {
-			return
-		}
-		broken = true
-		m.teardownState(old, true)
-	}, nil
+	m.teardownState(old, true)
+	return nil
 }
 
 // TearDown removes an LSP's entries and reservations. Tearing down a

@@ -164,62 +164,3 @@ func TestRerouteWithCSPF(t *testing.T) {
 		}
 	}
 }
-
-// TestRerouteDeferredHoldsOldPath checks the make-before-break contract
-// of the deferred break: until the caller breaks, both paths' label
-// state and reservations are held (so in-flight packets drain), and the
-// break itself is idempotent.
-func TestRerouteDeferredHoldsOldPath(t *testing.T) {
-	m, fwds := diamondNet(t)
-	if _, err := m.SetupLSP(SetupRequest{
-		ID: "l", FEC: FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "b", "d"}, Bandwidth: 2e6,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// An in-flight packet: already pushed at the ingress, about to
-	// arrive at b with the old path's label.
-	inflight := packet.New(1, dst, 64, nil)
-	if res := fwds["a"].Forward(inflight); res.NextHop != "b" {
-		t.Fatalf("ingress sent to %q, want b", res.NextHop)
-	}
-
-	brk, err := m.RerouteDeferred("l", []string{"a", "c", "d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// New traffic takes the new path immediately...
-	_, res, visited := walk(t, fwds, "a", packet.New(1, dst, 64, nil))
-	if res.Action != swmpls.Deliver || visited[1] != "c" {
-		t.Fatalf("fresh packet went %v (%v), want via c", visited, res)
-	}
-	// ...while the in-flight packet still completes on the old path.
-	last, res, visited := walk(t, fwds, "b", inflight)
-	if res.Action != swmpls.Deliver || last != "d" {
-		t.Fatalf("in-flight packet died before the break: %v at %s via %v", res, last, visited)
-	}
-	// Both paths' reservations are held during the transition.
-	for _, link := range [][2]string{{"a", "b"}, {"b", "d"}, {"a", "c"}, {"c", "d"}} {
-		a, _ := m.topo.Link(link[0], link[1])
-		if a.ReservedBPS != 2e6 {
-			t.Errorf("link %v reserved %.0f during transition, want 2e6", link, a.ReservedBPS)
-		}
-	}
-
-	brk()
-	brk() // idempotent
-
-	// Old path state is gone: its reservation is released and a packet
-	// stranded on it now hits the paper's lookup-miss discard.
-	for _, link := range [][2]string{{"a", "b"}, {"b", "d"}} {
-		a, _ := m.topo.Link(link[0], link[1])
-		if a.ReservedBPS != 0 {
-			t.Errorf("old link %v still reserves %.0f after break", link, a.ReservedBPS)
-		}
-	}
-	late := packet.New(1, dst, 64, nil)
-	if res := fwds["a"].Forward(late); res.NextHop != "c" {
-		t.Fatalf("ingress sent to %q after break, want c", res.NextHop)
-	}
-}

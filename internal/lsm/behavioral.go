@@ -18,7 +18,6 @@ type Behavioral struct {
 	stack label.Stack
 	rtype RouterType
 
-	drops     *telemetry.DropCounters
 	trace     *telemetry.Ring
 	traceNode string
 }
@@ -58,15 +57,6 @@ func (m *Behavioral) RouterType() RouterType { return m.rtype }
 func (m *Behavioral) SetTrace(r *telemetry.Ring, node string) {
 	m.trace = r
 	m.traceNode = node
-}
-
-// SetTelemetry attaches the unified sink (the plane.Plane hook): drop
-// counters receive one count per discard, the trace ring one event per
-// update, both under the sink's node name.
-func (m *Behavioral) SetTelemetry(s telemetry.Sink) {
-	m.drops = s.Drops
-	m.trace = s.Trace
-	m.traceNode = s.Node
 }
 
 // Reset clears the label stack (the information base is preserved, as in
@@ -218,20 +208,13 @@ func (m *Behavioral) Update(req UpdateRequest) UpdateResult {
 	return res
 }
 
-// traceDiscard records a discard in the attached drop counters and
-// trace ring, mapping the LSM reason into the telemetry taxonomy.
+// traceDiscard records a discard in the attached trace ring, mapping
+// the LSM reason into the telemetry taxonomy.
 func (m *Behavioral) traceDiscard(lv infobase.Level, key uint32, d DiscardReason) {
-	if m.trace == nil && m.drops == nil {
+	if m.trace == nil {
 		return
 	}
-	reason, ok := d.Telemetry()
-	if !ok {
-		return
-	}
-	if m.drops != nil {
-		m.drops.Inc(reason)
-	}
-	if m.trace != nil {
+	if reason, ok := d.Telemetry(); ok {
 		m.trace.RecordDiscard(m.traceNode, uint8(lv), key, reason)
 	}
 }

@@ -97,23 +97,34 @@ func (d *Driver) WritePair(lv infobase.Level, p infobase.Pair) error {
 	if err := infobase.ValidatePair(lv, p); err != nil {
 		return err
 	}
-	writes := map[uint32]uint32{
-		RegLevel:       uint32(lv),
-		RegNewLabel:    uint32(p.NewLabel),
-		RegOperationIn: uint32(p.Op),
-	}
+	index := RegOldLabel
 	if lv == infobase.Level1 {
-		writes[RegPacketID] = uint32(p.Index)
-	} else {
-		writes[RegOldLabel] = uint32(p.Index)
+		index = RegPacketID
 	}
-	for addr, v := range writes {
-		if err := d.bus.Write(addr, v); err != nil {
-			return err
-		}
+	if err := d.writeRegs(
+		regWrite{RegLevel, uint32(lv)},
+		regWrite{index, uint32(p.Index)},
+		regWrite{RegNewLabel, uint32(p.NewLabel)},
+		regWrite{RegOperationIn, uint32(p.Op)},
+	); err != nil {
+		return err
 	}
 	_, err := d.exec(CtrlGo | uint32(lsm.CmdWritePair))
 	return err
+}
+
+// regWrite is one operand register write.
+type regWrite struct{ addr, v uint32 }
+
+// writeRegs writes operand registers in the order given, so the bus
+// sees the same transaction sequence on every run.
+func (d *Driver) writeRegs(ws ...regWrite) error {
+	for _, w := range ws {
+		if err := d.bus.Write(w.addr, w.v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Lookup searches a level directly.
@@ -198,14 +209,12 @@ func (d *Driver) DumpLevel(lv infobase.Level) ([]infobase.Pair, error) {
 // Update runs the packet-driven stack update; it reports whether the
 // packet was discarded.
 func (d *Driver) Update(packetID uint32, ttlIn uint8, cosIn label.CoS) (bool, error) {
-	for addr, v := range map[uint32]uint32{
-		RegPacketID: packetID,
-		RegTTLIn:    uint32(ttlIn),
-		RegCoSIn:    uint32(cosIn),
-	} {
-		if err := d.bus.Write(addr, v); err != nil {
-			return false, err
-		}
+	if err := d.writeRegs(
+		regWrite{RegPacketID, packetID},
+		regWrite{RegTTLIn, uint32(ttlIn)},
+		regWrite{RegCoSIn, uint32(cosIn)},
+	); err != nil {
+		return false, err
 	}
 	st, err := d.exec(CtrlGo | uint32(lsm.CmdUpdate))
 	if err != nil {

@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"embeddedmpls/internal/infobase"
@@ -249,6 +250,62 @@ func (b *brokenBus) Write(addr uint32, v uint32) error {
 	}
 	b.left--
 	return b.inner.Write(addr, v)
+}
+
+// recordingBus logs every write that reaches the peripheral.
+type recordingBus struct {
+	inner  Bus
+	writes []regWrite
+}
+
+func (b *recordingBus) Read(addr uint32) (uint32, error) { return b.inner.Read(addr) }
+
+func (b *recordingBus) Write(addr uint32, v uint32) error {
+	b.writes = append(b.writes, regWrite{addr, v})
+	return b.inner.Write(addr, v)
+}
+
+// TestDriverWriteOrder pins the exact register-write sequence of the
+// operations that load several operand registers, so a bus trace is the
+// same on every run.
+func TestDriverWriteOrder(t *testing.T) {
+	ctrl := func(cmd lsm.Command) []regWrite {
+		return []regWrite{{RegCtrl, CtrlGo | uint32(cmd)}, {RegCtrl, 0}}
+	}
+	for _, tc := range []struct {
+		name string
+		op   func(d *Driver) error
+		want []regWrite
+	}{
+		{"WritePair level 1", func(d *Driver) error {
+			return d.WritePair(infobase.Level1, infobase.Pair{Index: 0xc0a80101, NewLabel: 100, Op: label.OpPush})
+		}, append([]regWrite{
+			{RegLevel, 1}, {RegPacketID, 0xc0a80101}, {RegNewLabel, 100}, {RegOperationIn, uint32(label.OpPush)},
+		}, ctrl(lsm.CmdWritePair)...)},
+		{"WritePair level 2", func(d *Driver) error {
+			return d.WritePair(infobase.Level2, infobase.Pair{Index: 42, NewLabel: 777, Op: label.OpSwap})
+		}, append([]regWrite{
+			{RegLevel, 2}, {RegOldLabel, 42}, {RegNewLabel, 777}, {RegOperationIn, uint32(label.OpSwap)},
+		}, ctrl(lsm.CmdWritePair)...)},
+		{"Update", func(d *Driver) error {
+			_, err := d.Update(0xc0a80101, 64, 5)
+			return err
+		}, append([]regWrite{
+			{RegPacketID, 0xc0a80101}, {RegTTLIn, 64}, {RegCoSIn, 5},
+		}, ctrl(lsm.CmdUpdate)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hw := lsm.NewWith(lsm.Options{})
+			hw.RtrType.Set(uint64(lsm.LER))
+			bus := &recordingBus{inner: NewPeripheral(hw, 1)}
+			if err := tc.op(NewDriver(bus)); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(bus.writes, tc.want) {
+				t.Errorf("writes = %x, want %x", bus.writes, tc.want)
+			}
+		})
+	}
 }
 
 func TestDriverPropagatesBusFaults(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"embeddedmpls/internal/faults"
+	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/telemetry"
 )
 
@@ -18,28 +20,37 @@ type chaosResult struct {
 	reordered bool
 }
 
-// runChaos is the full self-healing loop under a seeded fault schedule:
-// CBR traffic over the primary a-b-d LSP, the a-b link downed
-// mid-traffic, keepalive misses detecting it, the healer switching to
-// the a-c-d backup, delivery resuming.
+// runChaos is the self-healing loop `make chaos` runs, under a seeded
+// fault schedule: a speaker on every router, CBR traffic over the
+// signalled a-b-d LSP, the a-b link downed mid-traffic, keepalive misses
+// detecting it, the session healer at the ingress requesting a reroute,
+// the speaker switching to a-c-d and delivery resuming.
 func runChaos(t *testing.T, seed int64) chaosResult {
 	t.Helper()
 	n := diamondNet(t)
-	dst := setupDiamondLSP(t, n)
+	dst := packet.AddrFrom(10, 0, 0, 9)
 
 	var ev telemetry.EventCounters
 	tl := &Timeline{}
 
+	speakers, err := signaling.Deploy(n, signaling.WithEvents(&ev), signaling.WithUntil(0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := BindSessions(speakers["a"], n.Sim, tl)
+	if err := speakers["a"].Setup(ldp.SetupRequest{
+		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sh.Protect("l", []string{"a", "b", "d"})
+
 	mon := NewMonitor(n, n.Sim, MonitorConfig{
 		Interval: 0.005, MissThreshold: 3, Until: 0.8, Events: &ev, Timeline: tl,
 	})
-	h := NewHealer(n, n.Sim, HealerConfig{Seed: seed, Events: &ev, Timeline: tl})
-	mon.OnDown = h.LinkDown
-	mon.OnUp = h.LinkUp
+	mon.OnDown = sh.LinkDown
+	mon.OnUp = sh.LinkUp
 	if err := mon.WatchBoth("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Protect("l"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,8 +117,9 @@ func TestChaosRecovery(t *testing.T) {
 	if r.reordered {
 		t.Error("intra-flow reordering across the protection switch")
 	}
-	// Loss is bounded to the blackout window: 160 packets sent, the link
-	// was down-but-undetected for ~20 ms (4 packets) plus a little slack.
+	// Loss is bounded to the blackout window: 160 packets sent, the
+	// first one or two before the LSP maps at ~6 ms, and the link was
+	// down-but-undetected for ~15 ms (3-4 packets).
 	if r.delivered < 160-8 {
 		t.Errorf("delivered %d of 160 — loss beyond the detection window", r.delivered)
 	}
@@ -115,14 +127,13 @@ func TestChaosRecovery(t *testing.T) {
 		t.Error("no loss at all — the fault never bit")
 	}
 
-	// The timeline tells the story in order: detection, then switch.
+	// The timeline tells the story in order: detection, the healer's
+	// request, then the ingress establishing the backup path.
 	down := strings.Index(r.timeline, "monitor: a->b down")
-	sw := strings.Index(r.timeline, `healer: "l" switched`)
-	if down < 0 || sw < 0 || sw < down {
-		t.Errorf("timeline missing detection->switch sequence:\n%s", r.timeline)
-	}
-	if !strings.Contains(r.timeline, "[a c d]") {
-		t.Errorf("switch did not land on the backup path:\n%s", r.timeline)
+	req := strings.Index(r.timeline, `healer: a: requesting reroute of "l"`)
+	sw := strings.Index(r.timeline, `LSP "l" established via [a c d]`)
+	if down < 0 || req < down || sw < req {
+		t.Errorf("timeline missing detection->request->switch sequence:\n%s", r.timeline)
 	}
 }
 

@@ -21,8 +21,7 @@ type MonitorConfig struct {
 	// declares the adjacency down. <=0: 3.
 	MissThreshold int
 	// Until, when >0, stops probe scheduling at that simulated time so a
-	// bounded scenario's event queue can drain. 0 probes forever (stop
-	// with Stop).
+	// bounded scenario's event queue can drain. 0 probes forever.
 	Until float64
 	// Events and Timeline are optional observation sinks.
 	Events   *telemetry.EventCounters
@@ -51,7 +50,6 @@ type Monitor struct {
 	adjacencies map[adjKey]*adjacency
 	ctrlAddrs   map[string]packet.Addr // router -> control address
 	byAddr      map[packet.Addr]string
-	stopped     bool
 
 	// OnDown fires when an adjacency is declared down; OnUp when probes
 	// flow again over a previously declared-down adjacency. Both are
@@ -116,9 +114,6 @@ func (m *Monitor) WatchBoth(a, b string) error {
 	return m.Watch(b, a)
 }
 
-// Stop halts all probing after the current tick round.
-func (m *Monitor) Stop() { m.stopped = true }
-
 // Down reports whether the directed a->b adjacency is currently
 // declared down.
 func (m *Monitor) Down(a, b string) bool {
@@ -151,7 +146,7 @@ func (m *Monitor) ctrl(name string) packet.Addr {
 // tick is one probe interval for an adjacency: account the previous
 // probe's fate, declare transitions, send the next probe, reschedule.
 func (m *Monitor) tick(adj *adjacency) {
-	if m.stopped || (m.cfg.Until > 0 && m.clock.Now() >= m.cfg.Until) {
+	if m.cfg.Until > 0 && m.clock.Now() >= m.cfg.Until {
 		return
 	}
 	if adj.pending > 0 {

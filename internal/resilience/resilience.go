@@ -1,21 +1,24 @@
 // Package resilience is the self-healing control plane: it closes the
 // feedback loop between the data plane's failure signals and the label
-// distribution layer's repair actions. Three detectors feed one healer:
+// distribution layer's repair actions. Two detectors feed one healer:
 //
 //   - keepalive probes per adjacency, with a miss-count threshold, catch
 //     hard link failures (Monitor);
 //   - per-LSP health tracking over telemetry drop counters catches
 //     silent degradation — corruption that the paper's lookup-miss
 //     discard kills one hop downstream — that keepalives cannot see
-//     (HealthTracker);
-//   - failed control-plane writes (fault-injected information-base or
-//     table-publish errors) surface as Reroute/SetupLSP errors and are
-//     absorbed by exponential-backoff retries (Retryer).
+//     (TrackHealth).
 //
-// The healer precomputes link-disjoint backup paths per protected LSP
-// and switches make-before-break through ldp.Reroute, so repair uses the
-// same ordered-downstream installation as setup and no packet ever sees
-// a half-installed path.
+// The healer is the SessionHealer that BindSessions attaches to a
+// signaling speaker. It turns each detection into a
+// Speaker.RequestReroute, and the LSP's ingress signals the next path
+// generation make-before-break: the old path keeps forwarding until the
+// new one maps, so no packet ever sees a half-installed path.
+//
+// Alongside the loop, the speakers of a distributed node take two
+// hardening pieces from here: a Retryer paces session re-establishment
+// with exponential backoff and jitter, and a Damper keeps flapping
+// links out of protection paths.
 //
 // Everything runs on an injected Clock (the discrete-event simulator in
 // tests and scenarios), so recovery timelines are deterministic: same
@@ -54,9 +57,6 @@ type Timeline struct {
 func (t *Timeline) Add(at float64, format string, args ...any) {
 	t.events = append(t.events, Event{At: at, What: fmt.Sprintf(format, args...)})
 }
-
-// Events returns the recorded events in order.
-func (t *Timeline) Events() []Event { return append([]Event(nil), t.events...) }
 
 // Len returns the number of recorded events.
 func (t *Timeline) Len() int { return len(t.events) }

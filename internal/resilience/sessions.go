@@ -4,13 +4,12 @@ import (
 	"embeddedmpls/internal/signaling"
 )
 
-// SessionHealer is the healer of the distributed control plane: where
-// the classic Healer repairs LSPs by reprogramming every router through
-// the in-process LDP manager, the SessionHealer only *asks* — it turns
-// a locally detected failure into a signaling Reroute request that
-// travels hop-by-hop to the LSP's ingress, which may live in another
-// process. Wire LinkDown/LinkUp to a Monitor's callbacks, exactly like
-// the classic Healer.
+// SessionHealer is the repair side of the self-healing loop. It
+// reprograms no router itself: it turns a locally detected failure into
+// a signaling Reroute request that travels hop-by-hop to the LSP's
+// ingress, which may live in another process, and the ingress switches
+// make-before-break. Wire LinkDown/LinkUp to a Monitor's callbacks and
+// Degraded to a TrackHealth callback.
 type SessionHealer struct {
 	sp       *signaling.Speaker
 	clock    Clock
@@ -118,4 +117,15 @@ func (sh *SessionHealer) LinkUp(a, b string) {
 	if sh.timeline != nil {
 		sh.timeline.Add(sh.clock.Now(), "healer: %s: link %s-%s recovered", sh.sp.Name(), a, b)
 	}
+}
+
+// pathUses reports whether the path crosses the a-b connection in
+// either direction.
+func pathUses(path []string, a, b string) bool {
+	for i := 0; i+1 < len(path); i++ {
+		if (path[i] == a && path[i+1] == b) || (path[i] == b && path[i+1] == a) {
+			return true
+		}
+	}
+	return false
 }

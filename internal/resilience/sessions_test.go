@@ -88,42 +88,56 @@ func TestSessionHealerProtectionSwitch(t *testing.T) {
 
 // TestSessionHealerRemoteRequest exercises the wire escalation in
 // isolation: no link actually fails, the healer at the egress is just
-// told one did (degraded-style), and the reroute request must cross
-// two live sessions to reach the ingress.
+// told one did — a link report or a degraded-LSP report off the first
+// link of its path — and the reroute request must cross two live
+// sessions to reach the ingress.
 func TestSessionHealerRemoteRequest(t *testing.T) {
-	var events telemetry.EventCounters
-	var tl Timeline
-	net, speakers := signalingDiamond(t, &events)
+	for name, report := range map[string]func(sh *SessionHealer){
+		"link down": func(sh *SessionHealer) { sh.LinkDown("a", "b") },
+		"degraded":  func(sh *SessionHealer) { sh.Degraded("l") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var events telemetry.EventCounters
+			var tl Timeline
+			net, speakers := signalingDiamond(t, &events)
 
-	sh := BindSessions(speakers["d"], net.Sim, &tl)
-	dst := packet.AddrFrom(10, 0, 0, 9)
-	net.Sim.RunUntil(0.3)
-	if err := speakers["a"].Setup(ldp.SetupRequest{
-		ID:   "l",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "b", "d"},
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var lastPath []string
-	speakers["a"].OnEstablished = func(id string, path []string) { lastPath = path }
-	net.Sim.RunUntil(0.6)
-	sh.Protect("l", []string{"a", "b", "d"})
+			sh := BindSessions(speakers["d"], net.Sim, &tl)
+			dst := packet.AddrFrom(10, 0, 0, 9)
+			net.Sim.RunUntil(0.3)
+			if err := speakers["a"].Setup(ldp.SetupRequest{
+				ID:   "l",
+				FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
+				Path: []string{"a", "b", "d"},
+			}, nil); err != nil {
+				t.Fatal(err)
+			}
+			var lastPath []string
+			speakers["a"].OnEstablished = func(id string, path []string) { lastPath = path }
+			net.Sim.RunUntil(0.6)
+			sh.Protect("l", []string{"a", "b", "d"})
 
-	sh.LinkDown("a", "b") // reported failure, sessions all still up
-	net.Sim.RunUntil(1.2)
+			// Reports that do not concern the LSP's path are no-ops.
+			sh.LinkDown("a", "c")
+			sh.Degraded("ghost")
+			report(sh) // reported failure, sessions all still up
+			net.Sim.RunUntil(1.2)
 
-	if got := events.Get(telemetry.EventProtectionSwitch); got != 1 {
-		t.Fatalf("protection_switch = %d, want 1\n%s", got, tl.String())
-	}
-	if strings.Join(lastPath, ",") != "a,c,d" {
-		t.Fatalf("path after request = %v, want a,c,d", lastPath)
-	}
+			if got := events.Get(telemetry.EventProtectionSwitch); got != 1 {
+				t.Fatalf("protection_switch = %d, want 1\n%s", got, tl.String())
+			}
+			if strings.Join(lastPath, ",") != "a,c,d" {
+				t.Fatalf("path after request = %v, want a,c,d", lastPath)
+			}
+			if strings.Contains(tl.String(), "around a-c") {
+				t.Errorf("healer requested a reroute around a link off the path:\n%s", tl.String())
+			}
 
-	// A second report for a link the path no longer uses is a no-op.
-	sh.LinkDown("a", "b")
-	net.Sim.RunUntil(1.8)
-	if got := events.Get(telemetry.EventProtectionSwitch); got != 1 {
-		t.Errorf("duplicate report caused another switch: %d", got)
+			// A second report for a link the path no longer uses is a no-op.
+			report(sh)
+			net.Sim.RunUntil(1.8)
+			if got := events.Get(telemetry.EventProtectionSwitch); got != 1 {
+				t.Errorf("duplicate report caused another switch: %d", got)
+			}
+		})
 	}
 }

@@ -3,9 +3,7 @@ package resilience
 import (
 	"testing"
 
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
-	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
 )
 
@@ -30,17 +28,4 @@ func diamondNet(t *testing.T) *router.Network {
 		t.Fatal(err)
 	}
 	return n
-}
-
-// setupDiamondLSP installs the primary a-b-d LSP and returns its FEC
-// destination.
-func setupDiamondLSP(t *testing.T, n *router.Network) packet.Addr {
-	t.Helper()
-	dst := packet.AddrFrom(10, 0, 0, 9)
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return dst
 }

@@ -43,13 +43,7 @@ func (e *EnginePlane) Process(p *packet.Packet) (swmpls.Result, netsim.Time) {
 	return e.Engine.ProcessInline(p), e.PerPacket
 }
 
-// ProcessPacket implements plane.Plane: one table pass against the
-// engine's current snapshot.
-func (e *EnginePlane) ProcessPacket(p *packet.Packet) swmpls.Result {
-	return e.Engine.ProcessPacket(p)
-}
-
-// SetTelemetry implements plane.Plane by attaching the sink to the
+// SetTelemetry implements DataPlane by attaching the sink to the
 // engine (trace at the next batch, drop counters on a fresh snapshot).
 func (e *EnginePlane) SetTelemetry(s telemetry.Sink) { e.Engine.SetTelemetry(s) }
 

@@ -16,23 +16,24 @@ import (
 	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/netsim"
 	"embeddedmpls/internal/packet"
-	"embeddedmpls/internal/plane"
 	"embeddedmpls/internal/stats"
 	"embeddedmpls/internal/swmpls"
 	"embeddedmpls/internal/telemetry"
 )
 
-// DataPlane is a forwarding engine as the router sees it: the unified
-// plane contract (one processing step plus telemetry attachment),
-// extended with simulator timing — Process reports how long the engine
-// was occupied — the table programming surface used by ldp.Manager,
-// and lifecycle cleanup. Close releases whatever the plane holds
-// (worker goroutines for the concurrent engine; a no-op for the serial
-// planes), letting the network tear down any plane without knowing its
-// concrete type.
+// DataPlane is a forwarding engine as the router sees it: one
+// processing step with simulator timing — Process reports how long the
+// engine was occupied — the unified telemetry attachment, the table
+// programming surface used by ldp.Manager, and lifecycle cleanup.
+// Close releases whatever the plane holds (worker goroutines for the
+// concurrent engine; a no-op for the serial planes), letting the
+// network tear down any plane without knowing its concrete type.
 type DataPlane interface {
-	plane.Plane
 	Process(p *packet.Packet) (swmpls.Result, netsim.Time)
+	// SetTelemetry attaches the unified observability sink: drop
+	// counters, label-op/discard trace, and the node name events are
+	// attributed to. Zero-value fields detach the corresponding hook.
+	SetTelemetry(s telemetry.Sink)
 	InstallFEC(dst packet.Addr, prefixLen int, n swmpls.NHLFE) error
 	InstallILM(in label.Label, n swmpls.NHLFE) error
 	RemoveILM(in label.Label)
@@ -59,8 +60,8 @@ func (r *Router) Tables() (TableReader, bool) {
 
 // SoftwarePlane runs the software forwarder with a fixed per-packet
 // processing cost (the "entirely software based" baseline the paper
-// contrasts with). The embedded Forwarder provides the plane.Plane
-// half of the contract.
+// contrasts with). The embedded Forwarder provides SetTelemetry and
+// the table programming half of the contract.
 type SoftwarePlane struct {
 	*swmpls.Forwarder
 	// PerPacket is the engine occupancy per label operation. The default
@@ -96,8 +97,8 @@ func (s *SoftwarePlane) Process(p *packet.Packet) (swmpls.Result, netsim.Time) {
 func (s *SoftwarePlane) Close() error { return nil }
 
 // HardwarePlane runs the embedded MPLS device; engine occupancy is the
-// device's cycle count at its clock. The embedded Device provides the
-// plane.Plane half of the contract.
+// device's cycle count at its clock. The embedded Device provides
+// SetTelemetry and the table programming half of the contract.
 type HardwarePlane struct {
 	*device.Device
 }
@@ -424,23 +425,11 @@ func (r *Router) ipForward(p *packet.Packet, t *iproute.Table) {
 	l.Send(p)
 }
 
-// SetControlSink installs the router's control-plane punt: delivered
-// packets the sink claims (by returning true) are consumed before
-// delivery statistics and OnDeliver see them. It replaces every
-// previously attached sink; a nil sink detaches them all. Subsystems
-// that must coexist (liveness probing and signaling sessions on one
-// node) use AddControlSink instead.
-func (r *Router) SetControlSink(sink func(p *packet.Packet) bool) {
-	if sink == nil {
-		r.control = nil
-		return
-	}
-	r.control = []func(p *packet.Packet) bool{sink}
-}
-
-// AddControlSink attaches one more control-plane punt without
-// disturbing the ones already installed. Sinks see delivered packets in
-// attachment order; the first to claim a packet consumes it.
+// AddControlSink attaches a control-plane punt: delivered packets the
+// sink claims (by returning true) are consumed before delivery
+// statistics and OnDeliver see them. Sinks see delivered packets in
+// attachment order; the first to claim a packet consumes it, so
+// liveness probing and signaling sessions coexist on one node.
 func (r *Router) AddControlSink(sink func(p *packet.Packet) bool) {
 	r.control = append(r.control, sink)
 }

@@ -3,12 +3,15 @@ package router
 import (
 	"testing"
 
+	"embeddedmpls/internal/dataplane"
+	"embeddedmpls/internal/device"
 	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/netsim"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/swmpls"
+	"embeddedmpls/internal/telemetry"
 )
 
 var dst = packet.AddrFrom(10, 0, 0, 9)
@@ -270,6 +273,69 @@ func TestPHPEndToEnd(t *testing.T) {
 			// no packets at all (local delivery short-circuits).
 			if n.Router("d").Stats.Forwarded.Events != 0 {
 				t.Error("PHP egress forwarded instead of delivering")
+			}
+		})
+	}
+}
+
+// TestPlanesAgreeOnSwap programs the same swap binding into the three
+// data planes a router can hold and drives each through its native
+// entry point (Forward, Device.Process, Engine.ProcessInline): every
+// plane must apply the swap, and with a sink attached every plane must
+// count an unknown label as exactly one lookup-miss drop. The serial
+// planes trace the op and the discard; the engine traces on its workers
+// (TestEngineSetTelemetry), never on the inline path.
+func TestPlanesAgreeOnSwap(t *testing.T) {
+	swap := swmpls.NHLFE{NextHop: "b", Op: label.OpSwap, PushLabels: []label.Label{200}}
+	eng := dataplane.New(dataplane.WithWorkers(1))
+	for _, tc := range []struct {
+		name       string
+		plane      DataPlane
+		wantEvents int
+	}{
+		{"swmpls", NewSoftwarePlane(0), 2},
+		{"device", NewHardwarePlane(device.New(lsm.LSR, lsm.DefaultClock)), 2},
+		{"engine", NewEnginePlane(eng, 0), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.plane.Close()
+			if err := tc.plane.InstallILM(100, swap); err != nil {
+				t.Fatal(err)
+			}
+			drops := new(telemetry.DropCounters)
+			ring := telemetry.NewRing(16)
+			tc.plane.SetTelemetry(telemetry.Sink{Drops: drops, Trace: ring, Node: tc.name})
+
+			transit := func(l label.Label) *packet.Packet {
+				p := packet.New(packet.AddrFrom(192, 0, 2, 1), dst, 64, nil)
+				if err := p.Stack.Push(label.Entry{Label: l, TTL: 16}); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			p := transit(100)
+			res, _ := tc.plane.Process(p)
+			if res.Action != swmpls.Forward || res.Op != label.OpSwap || res.NextHop != "b" {
+				t.Fatalf("swap result = %+v", res)
+			}
+			if top, err := p.Stack.Top(); err != nil || top.Label != 200 {
+				t.Fatalf("top after swap = %v, %v", top, err)
+			}
+
+			if res, _ = tc.plane.Process(transit(999)); res.Action != swmpls.Drop {
+				t.Fatalf("unknown label result = %+v", res)
+			}
+			if got := drops.Get(telemetry.ReasonLookupMiss); got != 1 {
+				t.Errorf("lookup-miss drops = %d, want 1", got)
+			}
+			evs := ring.Events()
+			if len(evs) != tc.wantEvents {
+				t.Fatalf("trace events = %d, want %d", len(evs), tc.wantEvents)
+			}
+			for _, ev := range evs {
+				if ev.Node != tc.name {
+					t.Errorf("trace node = %q, want %q", ev.Node, tc.name)
+				}
 			}
 		})
 	}

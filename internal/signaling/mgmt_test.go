@@ -6,6 +6,7 @@ import (
 
 	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
+	"embeddedmpls/internal/router"
 )
 
 // TestProvisionFreshAndList provisions a brand-new LSP through the
@@ -51,56 +52,72 @@ func TestProvisionFreshAndList(t *testing.T) {
 	}
 }
 
-// TestProvisionMakeBeforeBreak re-provisions a live LSP onto the backup
-// path and checks the generation bumps, traffic switches, and the old
-// generation's transit state drains away.
+// TestProvisionMakeBeforeBreak re-provisions a live LSP from a-b-d onto
+// the backup a-c-d in the middle of a 2 kpps flow. The generation bumps,
+// the old path keeps forwarding until the new one maps and drains before
+// its release — so every packet arrives, in order — and the old
+// generation's transit state goes away.
 func TestProvisionMakeBeforeBreak(t *testing.T) {
-	net := diamond(t)
-	speakers, err := Deploy(net, WithUntil(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := packet.AddrFrom(10, 0, 0, 9)
-	delivered := deliveredCounter(t, net, "d", dst)
-	net.Sim.RunUntil(0.3)
-	if err := speakers["a"].Provision(ldp.SetupRequest{
-		ID:   "m2",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "b", "d"},
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	net.Sim.RunUntil(0.6)
+	for _, tc := range []struct {
+		name  string
+		nodes []router.NodeSpec
+	}{{"software", softwareNodes}, {"hardware", hardwareNodes}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := diamondOf(t, tc.nodes)
+			speakers, err := Deploy(net, WithUntil(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := packet.AddrFrom(10, 0, 0, 9)
+			req := ldp.SetupRequest{ID: "m2", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"}}
+			net.Sim.RunUntil(0.3)
+			if err := speakers["a"].Provision(req, nil); err != nil {
+				t.Fatal(err)
+			}
+			net.Sim.RunUntil(0.6)
 
-	// Operator-driven re-provision onto the expensive path.
-	if err := speakers["a"].Provision(ldp.SetupRequest{
-		ID:   "m2",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "c", "d"},
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	net.Sim.RunUntil(1.2) // map + drain delay
+			delivered, inversions := 0, 0
+			var lastSeq uint64
+			net.Router("d").OnDeliver = func(p *packet.Packet) {
+				delivered++
+				if p.SeqNo <= lastSeq {
+					inversions++
+				}
+				lastSeq = p.SeqNo
+			}
+			for i := 0; i < 400; i++ {
+				seq := uint64(i + 1)
+				net.Sim.Schedule(float64(i)*0.0005, func() {
+					p := packet.New(1, dst, 64, make([]byte, 64))
+					p.Header.FlowID = 7
+					p.SeqNo = seq
+					net.Router("a").Inject(p)
+				})
+			}
+			// Operator-driven re-provision onto the expensive path, mid-flow.
+			net.Sim.Schedule(0.1, func() {
+				req.Path = []string{"a", "c", "d"}
+				if err := speakers["a"].Provision(req, nil); err != nil {
+					t.Error(err)
+				}
+			})
+			net.Sim.RunUntil(1.2) // flow, map and drain delay
 
-	la := speakers["a"].List()
-	if len(la) != 1 {
-		t.Fatalf("ingress List = %+v, want exactly the new generation", la)
-	}
-	if la[0].Gen != 2 || strings.Join(la[0].Route, ",") != "a,c,d" || !la[0].Established {
-		t.Errorf("after MBB: %+v", la[0])
-	}
-	// The superseded generation must be gone from the old transit hop.
-	if lb := speakers["b"].List(); len(lb) != 0 {
-		t.Errorf("old transit b still holds %+v", lb)
-	}
-	// And the new path forwards.
-	if lc := speakers["c"].List(); len(lc) != 1 {
-		t.Errorf("new transit c holds %+v, want 1 LSP", lc)
-	}
-	sendProbePacket(net, "a", dst)
-	net.Sim.RunUntil(1.3)
-	if *delivered != 1 {
-		t.Errorf("delivered = %d, want 1 via the re-provisioned path", *delivered)
+			if delivered != 400 || inversions != 0 {
+				t.Errorf("delivered %d of 400 with %d inversions, want all in order", delivered, inversions)
+			}
+			la := speakers["a"].List()
+			if len(la) != 1 || la[0].Gen != 2 || strings.Join(la[0].Route, ",") != "a,c,d" || !la[0].Established {
+				t.Errorf("ingress List = %+v, want generation 2 established on a,c,d", la)
+			}
+			// The superseded generation must be gone from the old transit hop.
+			if lb := speakers["b"].List(); len(lb) != 0 {
+				t.Errorf("old transit b still holds %+v", lb)
+			}
+			if lc := speakers["c"].List(); len(lc) != 1 {
+				t.Errorf("new transit c holds %+v, want 1 LSP", lc)
+			}
+		})
 	}
 }
 

@@ -24,39 +24,38 @@ type LabelGuard interface {
 	Withdraw(peer string, l label.Label)
 }
 
-type config struct {
-	timers       Timers
-	until        float64
-	drainDelay   float64
-	retryBackoff float64
-	retryMax     int
-	setupTimeout float64
-	avoidHold    float64
-	maintIvl     float64
-	adaptLoad    float64
-	restart      RestartPolicy
-	guard        LabelGuard
-	events       *telemetry.EventCounters
-}
+// Speaker timing, in seconds on the speaker's clock. Sessions run the
+// default Timers.
+const (
+	// drainDelay is the make-before-break drain: how long a superseded
+	// path generation keeps forwarding before its release is sent.
+	drainDelay = 0.02
+	// setupTimeout is how long the ingress waits for a mapping before
+	// retransmitting its request.
+	setupTimeout = 0.25
+	// retryMax and retryBackoff are the retry budget and the linear
+	// backoff step for establishment and reroute attempts.
+	retryMax     = 5
+	retryBackoff = 0.05
+	// avoidHold is how long a reroute remembers links that errors and
+	// withdraws named as faulty: remembered links stay excluded from
+	// CSPF across consecutive reroutes of the same LSP, so an ingress
+	// bouncing between two broken paths accumulates the evidence instead
+	// of oscillating.
+	avoidHold = 2.0
+)
 
-func defaults() config {
-	return config{
-		timers:       Timers{}.withDefaults(),
-		drainDelay:   0.02,
-		retryBackoff: 0.05,
-		retryMax:     5,
-		setupTimeout: 0.25,
-		avoidHold:    2.0,
-	}
+type config struct {
+	until     float64
+	maintIvl  float64
+	adaptLoad float64
+	restart   RestartPolicy
+	guard     LabelGuard
+	events    *telemetry.EventCounters
 }
 
 // Option configures a Speaker.
 type Option func(*config)
-
-// WithTimers sets the session FSM timers (zero fields take defaults).
-func WithTimers(t Timers) Option {
-	return func(c *config) { c.timers = t.withDefaults() }
-}
 
 // WithUntil stops session ticking at the given clock time so a bounded
 // scenario's event queue can drain. 0 ticks forever (stop with Stop).
@@ -68,40 +67,6 @@ func WithUntil(t float64) Option {
 // label message receipts, protection switches and retries.
 func WithEvents(e *telemetry.EventCounters) Option {
 	return func(c *config) { c.events = e }
-}
-
-// WithDrainDelay sets the make-before-break drain: how long a
-// superseded path generation keeps forwarding before its release is
-// sent. <=0 keeps the default 20ms.
-func WithDrainDelay(d float64) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.drainDelay = d
-		}
-	}
-}
-
-// WithRetry sets the retry budget and backoff base for establishment
-// and reroute attempts.
-func WithRetry(max int, backoff float64) Option {
-	return func(c *config) {
-		if max > 0 {
-			c.retryMax = max
-		}
-		if backoff > 0 {
-			c.retryBackoff = backoff
-		}
-	}
-}
-
-// WithSetupTimeout sets how long the ingress waits for a mapping before
-// retransmitting its request.
-func WithSetupTimeout(d float64) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.setupTimeout = d
-		}
-	}
 }
 
 // WithRestartPolicy routes session re-establishment through p: when a
@@ -143,19 +108,6 @@ func WithAdaptiveKeepalive(loadPPS float64) Option {
 	return func(c *config) {
 		if loadPPS > 0 {
 			c.adaptLoad = loadPPS
-		}
-	}
-}
-
-// WithAvoidHold sets how long (seconds) a reroute remembers links that
-// errors and withdraws named as faulty: remembered links stay excluded
-// from CSPF across consecutive reroutes of the same LSP, so an ingress
-// bouncing between two broken paths accumulates the evidence instead
-// of oscillating. <=0 keeps the default 2s.
-func WithAvoidHold(d float64) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.avoidHold = d
 		}
 	}
 }

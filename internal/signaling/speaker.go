@@ -113,7 +113,7 @@ func (l *lsp) egress() bool  { return l.downstream == "" }
 // self must appear in it. A session is created toward every attached
 // link whose far end is a known node; call Start to begin signaling.
 func New(r *router.Router, topo *te.Topology, clock Clock, names []string, self string, opts ...Option) (*Speaker, error) {
-	cfg := defaults()
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -152,7 +152,7 @@ func New(r *router.Router, topo *te.Topology, clock Clock, names []string, self 
 		if _, known := s.ids[peer]; !known {
 			continue
 		}
-		s.sessions[peer] = NewSession(peer, cfg.timers,
+		s.sessions[peer] = NewSession(peer, Timers{},
 			func(t MsgType) { s.sendSession(peer, t) },
 			func() { s.sessionUp(peer) },
 			func() { s.sessionDown(peer) })
@@ -224,7 +224,7 @@ func (s *Speaker) Sever(peer string, d float64) error {
 // sendSession emits a bare session message toward peer. Session
 // messages bypass the pending queue: they are what brings a session up.
 func (s *Speaker) sendSession(peer string, t MsgType) {
-	m := Message{Type: t, Src: s.self, Hold: s.cfg.timers.withDefaults().Hold}
+	m := Message{Type: t, Src: s.self, Hold: s.sessions[peer].Timers().Hold}
 	s.transmit(peer, &m)
 }
 
@@ -487,8 +487,13 @@ func (s *Speaker) Setup(req ldp.SetupRequest, done func(error)) error {
 		downstream: req.Path[1],
 		done:       done,
 	}
+	// A refused setup leaves nothing behind: the id stays free and the
+	// maintenance sweep has no base to re-signal.
+	if err := s.signal(l); err != nil {
+		return err
+	}
 	s.byBase[l.base] = l
-	return s.signal(l)
+	return nil
 }
 
 // signal reserves the local segment and sends the label request for an
@@ -511,7 +516,7 @@ func (s *Speaker) signal(l *lsp) error {
 // retransmitted (duplicates are idempotent downstream) with backoff,
 // up to the retry budget.
 func (s *Speaker) scheduleSetupCheck(l *lsp) {
-	delay := s.cfg.setupTimeout + s.cfg.retryBackoff*float64(l.attempts)
+	delay := setupTimeout + retryBackoff*float64(l.attempts)
 	s.clock.Schedule(delay, func() {
 		cur, live := s.lsps[l.id]
 		if !live || cur != l || l.mapped || s.stopped {
@@ -519,7 +524,7 @@ func (s *Speaker) scheduleSetupCheck(l *lsp) {
 		}
 		l.attempts++
 		s.event(telemetry.EventRetryAttempt)
-		if l.attempts > s.cfg.retryMax {
+		if l.attempts > retryMax {
 			s.event(telemetry.EventRetryExhausted)
 			s.fail(l, fmt.Errorf("signaling: %s: no mapping after %d attempts", l.id, l.attempts-1))
 			return
@@ -781,7 +786,7 @@ func (s *Speaker) completeIngress(l *lsp) {
 		// generation's FTN entry was replaced by the install above, so
 		// its teardown must not remove the FEC.
 		l.prev = nil
-		s.clock.Schedule(s.cfg.drainDelay, func() { s.releaseGeneration(prev) })
+		s.clock.Schedule(drainDelay, func() { s.releaseGeneration(prev) })
 	}
 	if s.OnEstablished != nil {
 		s.OnEstablished(l.base, l.route)
@@ -956,7 +961,7 @@ func (s *Speaker) reroute(old *lsp, avoid te.LinkKey, makeBeforeBreak bool) {
 			s.avoids[old.base] = mem
 		}
 		rev := te.LinkKey{From: avoid.To, To: avoid.From}
-		mem[avoid], mem[rev] = now+s.cfg.avoidHold, now+s.cfg.avoidHold
+		mem[avoid], mem[rev] = now+avoidHold, now+avoidHold
 		exclude[avoid], exclude[rev] = true, true
 	}
 	if s.excluder != nil {
@@ -1007,12 +1012,12 @@ func (s *Speaker) reroute(old *lsp, avoid te.LinkKey, makeBeforeBreak bool) {
 func (s *Speaker) retryReroute(l *lsp, avoid te.LinkKey, makeBeforeBreak bool) {
 	l.attempts++
 	s.event(telemetry.EventRetryAttempt)
-	if l.attempts > s.cfg.retryMax {
+	if l.attempts > retryMax {
 		s.event(telemetry.EventRetryExhausted)
 		s.fail(l, fmt.Errorf("signaling: %s: reroute failed after %d attempts", l.base, l.attempts-1))
 		return
 	}
-	s.clock.Schedule(s.cfg.retryBackoff*float64(l.attempts), func() {
+	s.clock.Schedule(retryBackoff*float64(l.attempts), func() {
 		if s.stopped || s.byBase[l.base] != l || l.mapped {
 			return
 		}

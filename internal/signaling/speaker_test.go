@@ -182,11 +182,13 @@ func TestSpeakerPHP(t *testing.T) {
 
 // TestSpeakerProtectionSwitch kills the primary path's link and expects
 // the ingress to resignal over the backup — the withdraw cascade plus
-// reroute, purely via messages.
+// reroute, purely via messages. Then it severs the backup too: with no
+// path left the LSP waits unsignalled instead of thrashing, and when
+// a-b comes back the returning session re-signals it onto that side.
 func TestSpeakerProtectionSwitch(t *testing.T) {
 	net := diamond(t)
 	var events telemetry.EventCounters
-	speakers, err := Deploy(net, WithEvents(&events), WithUntil(3))
+	speakers, err := Deploy(net, WithEvents(&events), WithUntil(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +232,22 @@ func TestSpeakerProtectionSwitch(t *testing.T) {
 	net.Sim.RunUntil(1.6)
 	if *delivered != 1 {
 		t.Fatalf("delivered over backup = %d, want 1", *delivered)
+	}
+
+	net.SetLinkDown("a", "c", true)
+	net.Sim.RunUntil(2.5)
+	if la := speakers["a"].List(); len(la) != 1 || !la[0].Pending {
+		t.Fatalf("severed ingress List = %+v, want l pending", la)
+	}
+	net.SetLinkDown("a", "b", false)
+	net.Sim.RunUntil(3.5)
+	if strings.Join(lastPath, ",") != "a,b,d" {
+		t.Fatalf("after recovery path = %v, want a,b,d", lastPath)
+	}
+	sendProbePacket(net, "a", dst)
+	net.Sim.RunUntil(3.6)
+	if *delivered != 2 {
+		t.Fatalf("delivered after recovery = %d, want 2", *delivered)
 	}
 }
 
@@ -368,6 +386,53 @@ func TestSpeakerAdmissionControl(t *testing.T) {
 	}
 	if after := reserved(); !slices.Equal(after, before) {
 		t.Errorf("reserved bps per directed link = %v after the refusal, want %v", after, before)
+	}
+}
+
+// TestSpeakerRefusedSetupLeavesNothing asks the ingress for more
+// bandwidth than its first link has: Setup returns the refusal, no LSP
+// is left behind to list or re-signal, and the same id without
+// bandwidth then establishes.
+func TestSpeakerRefusedSetupLeavesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes []router.NodeSpec
+	}{{"software", softwareNodes}, {"hardware", hardwareNodes}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := diamondOf(t, tc.nodes)
+			speakers, err := Deploy(net, WithUntil(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := speakers["a"]
+			net.Sim.RunUntil(0.3)
+			req := ldp.SetupRequest{
+				ID:        "big",
+				FEC:       ldp.FEC{Dst: packet.AddrFrom(10, 0, 0, 9), PrefixLen: 32},
+				Path:      []string{"a", "b", "d"},
+				Bandwidth: 5e9, // the diamond's links carry 1 Gbps
+			}
+			if err := a.Setup(req, nil); err == nil {
+				t.Fatal("5 Gbps setup over 1 Gbps links accepted")
+			}
+			net.Sim.RunUntil(0.6)
+			if l := a.List(); len(l) != 0 {
+				t.Fatalf("refused setup left %+v", l)
+			}
+
+			req.Bandwidth = 0
+			setupErr := errors.New("setup never completed")
+			if err := a.Setup(req, func(e error) { setupErr = e }); err != nil {
+				t.Fatalf("setup of the refused id: %v", err)
+			}
+			net.Sim.RunUntil(0.9)
+			if setupErr != nil {
+				t.Fatal(setupErr)
+			}
+			if l := a.List(); len(l) != 1 || l[0].ID != "big" || !l[0].Established || l[0].Pending {
+				t.Errorf("after the retry List = %+v, want big established", l)
+			}
+		})
 	}
 }
 

@@ -147,10 +147,10 @@ func TestResolveApplySplitMatchesForward(t *testing.T) {
 		return p
 	}
 	cases := []func() *packet.Packet{
-		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1)) },       // FTN hit
-		func() *packet.Packet { return mk(packet.AddrFrom(172, 16, 0, 1)) },     // FTN miss
-		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1), 100) },  // ILM hit
-		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1), 999) },  // ILM miss
+		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1)) },      // FTN hit
+		func() *packet.Packet { return mk(packet.AddrFrom(172, 16, 0, 1)) },    // FTN miss
+		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1), 100) }, // ILM hit
+		func() *packet.Packet { return mk(packet.AddrFrom(10, 1, 1, 1), 999) }, // ILM miss
 	}
 	for i, mkp := range cases {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {

@@ -205,8 +205,8 @@ func (f *Forwarder) SetDropCounters(c *telemetry.DropCounters) { f.drops = c }
 func (f *Forwarder) DropCounters() *telemetry.DropCounters { return f.drops }
 
 // SetTelemetry attaches the full sink — drop counters plus per-packet
-// trace — in one call, the hook every plane.Plane implementation
-// shares. Zero-value fields detach the corresponding hook.
+// trace — in one call, the hook every router data plane shares.
+// Zero-value fields detach the corresponding hook.
 func (f *Forwarder) SetTelemetry(s telemetry.Sink) {
 	f.drops = s.Drops
 	f.trace = s.Trace
@@ -312,10 +312,6 @@ func (f *Forwarder) Forward(p *packet.Packet) Result {
 	}
 	return res
 }
-
-// ProcessPacket is Forward under the unified plane contract
-// (plane.Plane): one forwarding step on the caller's goroutine.
-func (f *Forwarder) ProcessPacket(p *packet.Packet) Result { return f.Forward(p) }
 
 // Resolve answers the table lookup for p without touching the packet:
 // the ILM binding of the top label for labelled packets, the FTN

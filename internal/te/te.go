@@ -124,17 +124,6 @@ const (
 // LinkKey names one directed link for exclusion sets.
 type LinkKey struct{ From, To string }
 
-// ExcludePath returns the exclusion set covering every link of the path
-// in both directions — the input for a link-disjoint backup computation.
-func ExcludePath(path []string) map[LinkKey]bool {
-	out := make(map[LinkKey]bool, 2*len(path))
-	for i := 0; i+1 < len(path); i++ {
-		out[LinkKey{path[i], path[i+1]}] = true
-		out[LinkKey{path[i+1], path[i]}] = true
-	}
-	return out
-}
-
 // PathRequest is a CSPF query.
 type PathRequest struct {
 	From, To string

@@ -97,15 +97,15 @@ func newReceiver(conn *net.UDPConn, sink func(batch []Inbound), cfg config) (*Re
 	// them. Best effort — some platforms clamp it.
 	_ = conn.SetReadBuffer(cfg.readBuffer)
 	r := &Receiver{
-		conn:     conn,
-		rc:       rc,
-		deliver:  sink,
-		peer:     cfg.peer,
-		names:    cfg.names,
-		batch:    make([]Inbound, cfg.batch),
-		flushIvl: cfg.flushInterval,
-		readBufs: make([][]byte, cfg.sysBatch),
-		sizes:    make([]int, cfg.sysBatch),
+		conn:      conn,
+		rc:        rc,
+		deliver:   sink,
+		peer:      cfg.peer,
+		names:     cfg.names,
+		batch:     make([]Inbound, cfg.batch),
+		flushIvl:  cfg.flushInterval,
+		readBufs:  make([][]byte, cfg.sysBatch),
+		sizes:     make([]int, cfg.sysBatch),
 		m:         cfg.metrics,
 		drop:      cfg.drop,
 		preAdmit:  cfg.preAdmit,

@@ -21,7 +21,7 @@ type ShardedReceiver struct {
 // free port shared by the whole group) and starts a read loop per
 // shard. sink is called once per shard index to build that shard's
 // delivery function — hand shard i's batches to dataplane shard i
-// (FeedEngineShard) and the socket-to-worker path never crosses
+// (router.Network.FeedTo) and the socket-to-worker path never crosses
 // shards. n == 1 degrades to a plain Listen-equivalent socket and
 // works on every platform; n > 1 requires SO_REUSEPORT support.
 func ListenSharded(addr string, n int, sink func(shard int) func(batch []Inbound), opts ...Option) (*ShardedReceiver, error) {
