@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test mgmt bench reproduce reproduce-check race flake cover chaos soak examples clean
+.PHONY: all build test mgmt bench reproduce reproduce-check sim-check sim-golden race flake cover chaos soak examples clean
 
 all: build test
 
@@ -14,7 +14,7 @@ build:
 # accept. The management-plane smoke rides along: golden wire fixtures,
 # error envelopes, and the three-process mplsctl acceptance run. So does the paper's evaluation: results/ must
 # regenerate byte for byte. Every tracked Go file must be gofmt-clean.
-test: mgmt reproduce-check
+test: mgmt reproduce-check sim-check
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
@@ -49,6 +49,20 @@ reproduce-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go run ./cmd/reproduce -out "$$tmp" >/dev/null && diff -r "$$tmp" results && \
 	echo "reproduce-check: results/ regenerated byte for byte"
+
+# The contract on the simulator's printed output: every deterministic
+# mplssim run (the built-in scenarios on both planes, the chaos seeds
+# with and without -heal, the scenario files) and every deterministic
+# example must print what testdata/sim holds. A change that moves a
+# figure on purpose regenerates the goldens with sim-golden, and its
+# diff on testdata/sim is the list of lines to explain.
+sim-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	bash scripts/simgolden.sh "$$tmp" && diff -r "$$tmp" testdata/sim && \
+	echo "sim-check: testdata/sim regenerated byte for byte"
+
+sim-golden:
+	bash scripts/simgolden.sh testdata/sim
 
 # The concurrent dataplane is the package the race detector exists for:
 # run it explicitly (and with -count=2 for scheduling variety) on top of
