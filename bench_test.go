@@ -22,6 +22,7 @@ import (
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/qos"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/swmpls"
 	"embeddedmpls/internal/trafficgen"
 )
@@ -406,16 +407,14 @@ func BenchmarkVoIPQoS(b *testing.B) {
 		voiceDst := packet.AddrFrom(10, 9, 0, 1)
 		bulkDst := packet.AddrFrom(10, 9, 0, 2)
 		path := []string{"in", "c1", "out"}
-		if _, err := net.LDP.SetupLSP(ldp.SetupRequest{ID: "v", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := net.LDP.SetupLSP(ldp.SetupRequest{ID: "b", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0}); err != nil {
-			b.Fatal(err)
-		}
+		establish(b, net,
+			ldp.SetupRequest{ID: "v", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5},
+			ldp.SetupRequest{ID: "b", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0})
+		stop := net.Sim.Now() + 1
 		c := trafficgen.NewCollector(net.Sim)
 		c.Attach(net.Router("out"))
-		trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, 1).Install(net.Sim, net.Router("in"), c)
-		trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: 1}.
+		trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, stop).Install(net.Sim, net.Router("in"), c)
+		trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: stop}.
 			Install(net.Sim, net.Router("in"), c)
 		net.Sim.Run()
 		return c.Flow(1).Latency.Percentile(99)
@@ -481,16 +480,14 @@ func BenchmarkQoSDisciplines(b *testing.B) {
 				voiceDst := packet.AddrFrom(10, 9, 0, 1)
 				bulkDst := packet.AddrFrom(10, 9, 0, 2)
 				path := []string{"in", "out"}
-				if _, err := net.LDP.SetupLSP(ldp.SetupRequest{ID: "v", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := net.LDP.SetupLSP(ldp.SetupRequest{ID: "b", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0}); err != nil {
-					b.Fatal(err)
-				}
+				establish(b, net,
+					ldp.SetupRequest{ID: "v", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5},
+					ldp.SetupRequest{ID: "b", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0})
+				stop := net.Sim.Now() + 1
 				c := trafficgen.NewCollector(net.Sim)
 				c.Attach(net.Router("out"))
-				trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, 1).Install(net.Sim, net.Router("in"), c)
-				trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: 1}.
+				trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, stop).Install(net.Sim, net.Router("in"), c)
+				trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: stop}.
 					Install(net.Sim, net.Router("in"), c)
 				net.Sim.Run()
 				p99 = c.Flow(1).Latency.Percentile(99)
@@ -534,12 +531,10 @@ func BenchmarkNetworkForwarding(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := net.LDP.SetupLSP(ldp.SetupRequest{
+			establish(b, net, ldp.SetupRequest{
 				ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32},
 				Path: []string{"r0", "r1", "r2", "r3"},
-			}); err != nil {
-				b.Fatal(err)
-			}
+			})
 			delivered := 0
 			net.Router("r3").OnDeliver = func(*packet.Packet) { delivered++ }
 			b.ResetTimer()
@@ -557,6 +552,23 @@ func BenchmarkNetworkForwarding(b *testing.B) {
 }
 
 // --- helpers --------------------------------------------------------------
+
+// establish signals reqs through a speaker on every router of net, then
+// stops the speakers: a static network whose clock reads the time the
+// LSPs came up.
+func establish(b *testing.B, net *router.Network, reqs ...ldp.SetupRequest) {
+	b.Helper()
+	speakers, err := signaling.Deploy(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := signaling.Establish(net, speakers, reqs...); err != nil {
+		b.Fatal(err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
+	}
+}
 
 func deviceWithILM(b *testing.B, n int) *router.HardwarePlane {
 	b.Helper()

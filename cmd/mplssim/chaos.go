@@ -56,24 +56,21 @@ func runChaos(seed int64, heal, hardware, transportUDP bool, duration, rate floa
 	timeline := &resilience.Timeline{}
 	var lastPath []string
 
-	// With healing on, the control plane is the distributed one: every
-	// router runs a signaling speaker, the LSP is signalled over
-	// sessions, and repair is a protection-switch *request* at the
-	// ingress. Without healing the legacy in-process manager installs
-	// the LSP directly — there is nothing to converge.
-	var speakers map[string]*signaling.Speaker
+	// Both modes run the same control plane: every router runs a
+	// signaling speaker and the LSP is signalled over sessions. With
+	// healing on, repair is a protection-switch *request* at the
+	// ingress. Without, the speakers stop ticking once the LSP is up and
+	// the network stays static — there is nothing to converge.
+	speakers, err := signaling.Deploy(net,
+		signaling.WithEvents(&events), signaling.WithUntil(duration))
+	check(err)
+	speakers["a"].OnEstablished = func(id string, path []string) {
+		lastPath = append(lastPath[:0], path...)
+	}
+	req := ldp.SetupRequest{ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"}}
 	if heal {
-		speakers, err = signaling.Deploy(net,
-			signaling.WithEvents(&events), signaling.WithUntil(duration))
-		check(err)
-		speakers["a"].OnEstablished = func(id string, path []string) {
-			lastPath = append(lastPath[:0], path...)
-		}
 		sh := resilience.BindSessions(speakers["a"], net.Sim, timeline)
-		check(speakers["a"].Setup(ldp.SetupRequest{
-			ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
-		}, nil))
-		sh.Protect("l", []string{"a", "b", "d"})
+		sh.Protect("l", req.Path)
 
 		mon := resilience.NewMonitor(net, net.Sim, resilience.MonitorConfig{
 			Interval: 0.005, MissThreshold: 3, Until: duration,
@@ -92,11 +89,6 @@ func runChaos(seed int64, heal, hardware, transportUDP bool, duration, rate floa
 			timeline.Add(net.Sim.Now(), "health: %d drops this interval, moving LSP off suspect path", delta)
 			sh.Degraded("l")
 		})
-	} else {
-		_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-			ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
-		})
-		check(err)
 	}
 
 	inj := faults.NewInjector(net, &events)
@@ -137,11 +129,23 @@ func runChaos(seed int64, heal, hardware, transportUDP bool, duration, rate floa
 	trafficgen.CBR{Flow: trafficgen.Flow{ID: 1, Dst: dst}, Size: 512, Interval: 0.001, Stop: duration}.
 		Install(net.Sim, net.Router("a"), c)
 
+	// The LSP is signalled beside the traffic, whose first packets find
+	// no FTN yet at a.
+	static := func(error) {
+		if !heal {
+			for _, sp := range speakers {
+				sp.Stop()
+			}
+		}
+	}
 	if transportUDP {
 		// Real sockets: pump virtual time against the wall clock, with
 		// some slack after the last send for in-flight datagrams.
+		check(speakers["a"].Setup(req, static))
 		net.RunReal(duration + 0.2)
 	} else {
+		check(signaling.Establish(net, speakers, req))
+		static(nil)
 		net.Sim.Run()
 	}
 
@@ -155,12 +159,7 @@ func runChaos(seed int64, heal, hardware, transportUDP bool, duration, rate floa
 	fmt.Printf("  %v\n", &events)
 	report(c, duration)
 
-	if heal {
-		fmt.Printf("final LSP path: %s\n", strings.Join(lastPath, " "))
-	} else {
-		lsp, _ := net.LDP.LSP("l")
-		fmt.Printf("final LSP path: %v\n", lsp.Path)
-	}
+	fmt.Printf("final LSP path: %s\n", strings.Join(lastPath, " "))
 
 	// Convergence: traffic flowing at the end (the last packet of a
 	// healthy run lands within a handful of send intervals of the stop

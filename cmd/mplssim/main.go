@@ -33,6 +33,7 @@ import (
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/qos"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/te"
 	"embeddedmpls/internal/telemetry"
 	"embeddedmpls/internal/trafficgen"
@@ -58,6 +59,21 @@ func buildNet(nodes []router.NodeSpec, links []router.LinkSpec) (*router.Network
 		nodes[i].InfoBase = infoBaseFlag
 	}
 	return router.Build(nodes, links)
+}
+
+// establish deploys a signaling speaker on every router, establishes
+// reqs through them and stops their ticking, so the scenario runs on a
+// static network with no keepalives beside its traffic. It returns the
+// speakers and the time the LSPs were up: the scenario's traffic window
+// counts from there.
+func establish(net *router.Network, reqs ...ldp.SetupRequest) (map[string]*signaling.Speaker, float64) {
+	speakers, err := signaling.Deploy(net)
+	check(err)
+	check(signaling.Establish(net, speakers, reqs...))
+	for _, sp := range speakers {
+		sp.Stop()
+	}
+	return speakers, net.Sim.Now()
 }
 
 // attachTelemetry hooks the shared drop counters — and, with -trace,
@@ -159,15 +175,13 @@ func runFailover(hardware bool, duration, rate float64) {
 	check(err)
 	attachTelemetry(net)
 	dst := packet.AddrFrom(10, 0, 0, 9)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
-	})
-	check(err)
+	req := ldp.SetupRequest{ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"}}
+	speakers, t0 := establish(net, req)
 
 	c := trafficgen.NewCollector(net.Sim)
 	c.TrackSeries(duration / 20)
 	c.Attach(net.Router("d"))
-	trafficgen.CBR{Flow: trafficgen.Flow{ID: 1, Dst: dst}, Size: 512, Interval: 0.001, Stop: duration}.
+	trafficgen.CBR{Flow: trafficgen.Flow{ID: 1, Dst: dst}, Size: 512, Interval: 0.001, Stop: t0 + duration}.
 		Install(net.Sim, net.Router("a"), c)
 
 	failAt := duration / 2
@@ -179,8 +193,9 @@ func runFailover(hardware bool, duration, rate float64) {
 	net.Sim.Schedule(repairAt, func() {
 		repair, err := net.Topo.CSPF(te.PathRequest{From: "a", To: "d", ExcludeNodes: map[string]bool{"b": true}})
 		check(err)
-		check(net.LDP.Reroute("l", repair))
-		fmt.Printf("t=%.3fs: rerouted onto %v (make-before-break)\n", net.Sim.Now(), repair)
+		req.Path = repair
+		check(speakers["a"].Provision(req, nil))
+		fmt.Printf("t=%.3fs: re-provisioning onto %v (make-before-break)\n", net.Sim.Now(), repair)
 	})
 	net.Sim.Run()
 
@@ -199,7 +214,7 @@ func runFailover(hardware bool, duration, rate float64) {
 		}
 		if dip, ok := s.MinCountBin(); ok {
 			fmt.Printf("deepest dip: %.2f Mbps in the bin starting t=%.3fs (failure at t=%.3fs)\n",
-				dip.BPS/1e6, dip.Start, failAt)
+				dip.BPS/1e6, dip.Start, t0+failAt)
 		}
 	}
 }
@@ -238,15 +253,12 @@ func runLine(hardware bool, hops int, duration, rate float64) {
 		path = append(path, nodeName(i))
 	}
 	dst := packet.AddrFrom(10, 0, 0, 1)
-	_, err := net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "lsp", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: path,
-	})
-	check(err)
+	_, t0 := establish(net, ldp.SetupRequest{ID: "lsp", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: path})
 
 	c := trafficgen.NewCollector(net.Sim)
 	c.Attach(net.Router(nodeName(hops - 1)))
 	trafficgen.CBR{
-		Flow: trafficgen.Flow{ID: 1, Dst: dst}, Size: 512, Interval: 0.001, Stop: duration,
+		Flow: trafficgen.Flow{ID: 1, Dst: dst}, Size: 512, Interval: 0.001, Stop: t0 + duration,
 	}.Install(net.Sim, net.Router(nodeName(0)), c)
 	net.Sim.Run()
 
@@ -276,27 +288,20 @@ func runTunnel(hardware bool, duration, rate float64) {
 	check(err)
 	attachTelemetry(net)
 
-	_, err = net.LDP.SetupTunnel("tun", []string{"head", "mid", "tail"}, 0)
-	check(err)
 	dstA := packet.AddrFrom(10, 3, 0, 1)
 	dstB := packet.AddrFrom(10, 4, 0, 1)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "a", FEC: ldp.FEC{Dst: dstA, PrefixLen: 32},
-		Path: []string{"ler1", "head", "tail", "ler3"},
-	})
-	check(err)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "b", FEC: ldp.FEC{Dst: dstB, PrefixLen: 32},
-		Path: []string{"ler2", "head", "tail", "ler4"},
-	})
-	check(err)
+	_, t0 := establish(net,
+		ldp.SetupRequest{ID: "tun", Path: []string{"head", "mid", "tail"}, Tunnel: true},
+		ldp.SetupRequest{ID: "a", FEC: ldp.FEC{Dst: dstA, PrefixLen: 32}, Path: []string{"ler1", "head", "tail", "ler3"}},
+		ldp.SetupRequest{ID: "b", FEC: ldp.FEC{Dst: dstB, PrefixLen: 32}, Path: []string{"ler2", "head", "tail", "ler4"}},
+	)
 
 	c := trafficgen.NewCollector(net.Sim)
 	c.Attach(net.Router("ler3"))
 	c.Attach(net.Router("ler4"))
-	trafficgen.CBR{Flow: trafficgen.Flow{ID: 1, Dst: dstA}, Size: 512, Interval: 0.002, Stop: duration}.
+	trafficgen.CBR{Flow: trafficgen.Flow{ID: 1, Dst: dstA}, Size: 512, Interval: 0.002, Stop: t0 + duration}.
 		Install(net.Sim, net.Router("ler1"), c)
-	trafficgen.CBR{Flow: trafficgen.Flow{ID: 2, Dst: dstB}, Size: 512, Interval: 0.002, Stop: duration}.
+	trafficgen.CBR{Flow: trafficgen.Flow{ID: 2, Dst: dstB}, Size: 512, Interval: 0.002, Stop: t0 + duration}.
 		Install(net.Sim, net.Router("ler2"), c)
 	net.Sim.Run()
 
@@ -318,16 +323,16 @@ func runQoS(duration float64) {
 		path := []string{"r0", "r1", "r2", "r3"}
 		voiceDst := packet.AddrFrom(10, 9, 0, 1)
 		bulkDst := packet.AddrFrom(10, 9, 0, 2)
-		_, err := net.LDP.SetupLSP(ldp.SetupRequest{ID: "voice", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5})
-		check(err)
-		_, err = net.LDP.SetupLSP(ldp.SetupRequest{ID: "bulk", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0})
-		check(err)
+		_, t0 := establish(net,
+			ldp.SetupRequest{ID: "voice", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5},
+			ldp.SetupRequest{ID: "bulk", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0},
+		)
 
 		c := trafficgen.NewCollector(net.Sim)
 		c.Attach(net.Router("r3"))
-		trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, duration).
+		trafficgen.VoIP(trafficgen.Flow{ID: 1, Dst: voiceDst}, 0, t0+duration).
 			Install(net.Sim, net.Router("r0"), c)
-		trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: duration}.
+		trafficgen.Bulk{Flow: trafficgen.Flow{ID: 2, Dst: bulkDst}, Size: 1188, RateBPS: 4e6, Stop: t0 + duration}.
 			Install(net.Sim, net.Router("r0"), c)
 		net.Sim.Run()
 

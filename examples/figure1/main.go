@@ -17,6 +17,7 @@ import (
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 )
 
 func main() {
@@ -47,17 +48,30 @@ func main() {
 	atm.AttachHost(dstHost)
 	edge.Attach(net.Router("ler2"), atm)
 
-	// Routing functionality: one LSP across the core.
-	lsp, err := net.LDP.SetupLSP(ldp.SetupRequest{
+	// Routing functionality: one LSP across the core, signalled by a
+	// label distribution speaker on every router. The speakers stop
+	// ticking once it is up; the core then only label-switches.
+	path := []string{"ler1", "lsr1", "lsr2", "ler2"}
+	speakers, err := signaling.Deploy(net)
+	check(err)
+	check(signaling.Establish(net, speakers, ldp.SetupRequest{
 		ID:   "fig1",
 		FEC:  ldp.FEC{Dst: dstHost, PrefixLen: 32},
-		Path: []string{"ler1", "lsr1", "lsr2", "ler2"},
+		Path: path,
 		CoS:  3,
-	})
-	check(err)
-	fmt.Printf("LSP established, hop labels: %v\n", lsp.HopLabels)
-	for _, m := range net.LDP.Messages {
-		fmt.Printf("  label mapping: %s -> %s (label %d)\n", m.From, m.To, m.Label)
+	}))
+	for _, sp := range speakers {
+		sp.Stop()
+	}
+	// Each hop owns the label for the hop into it and mapped it upstream,
+	// egress first.
+	hops := make([]uint32, len(path)-1)
+	for i := range hops {
+		hops[i] = speakers[path[i+1]].List()[0].InLabel
+	}
+	fmt.Printf("LSP established, hop labels: %v\n", hops)
+	for i := len(path) - 1; i >= 1; i-- {
+		fmt.Printf("  label mapping: %s -> %s (label %d)\n", path[i], path[i-1], hops[i-1])
 	}
 
 	// The ATM side records what it receives.

@@ -21,6 +21,7 @@ import (
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/trafficgen"
 )
 
@@ -45,35 +46,40 @@ func main() {
 	net, err := router.Build(nodes, links)
 	check(err)
 
-	// One tunnel across the core; the paper's "LSP (TUNNEL)" at level 2.
-	_, err = net.LDP.SetupTunnel("core-tunnel", []string{"head", "mid", "tail"}, 4e6)
-	check(err)
-
+	// One tunnel across the core — the paper's "LSP (TUNNEL)" at level 2
+	// — and two LSPs riding it as their head->tail hop, signalled by a
+	// speaker on every router, which then stops ticking.
 	dstA := packet.AddrFrom(10, 3, 0, 1)
 	dstB := packet.AddrFrom(10, 4, 0, 1)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "flowA", FEC: ldp.FEC{Dst: dstA, PrefixLen: 32},
-		Path: []string{"ler1", "head", "tail", "ler3"}, Bandwidth: 1e6,
-	})
+	speakers, err := signaling.Deploy(net)
 	check(err)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "flowB", FEC: ldp.FEC{Dst: dstB, PrefixLen: 32},
-		Path: []string{"ler2", "head", "tail", "ler4"}, Bandwidth: 1e6,
-	})
-	check(err)
+	check(signaling.Establish(net, speakers,
+		ldp.SetupRequest{ID: "core-tunnel", Path: []string{"head", "mid", "tail"}, Bandwidth: 4e6, Tunnel: true},
+		ldp.SetupRequest{
+			ID: "flowA", FEC: ldp.FEC{Dst: dstA, PrefixLen: 32},
+			Path: []string{"ler1", "head", "tail", "ler3"}, Bandwidth: 1e6,
+		},
+		ldp.SetupRequest{
+			ID: "flowB", FEC: ldp.FEC{Dst: dstB, PrefixLen: 32},
+			Path: []string{"ler2", "head", "tail", "ler4"}, Bandwidth: 1e6,
+		},
+	))
+	for _, sp := range speakers {
+		sp.Stop()
+	}
 
 	collector := trafficgen.NewCollector(net.Sim)
 	collector.Attach(net.Router("ler3"))
 	collector.Attach(net.Router("ler4"))
 
-	const runFor = 2.0
+	stop := net.Sim.Now() + 2.0
 	trafficgen.CBR{
 		Flow: trafficgen.Flow{ID: 1, Src: packet.AddrFrom(10, 1, 0, 1), Dst: dstA},
-		Size: 512, Interval: 0.005, Stop: runFor,
+		Size: 512, Interval: 0.005, Stop: stop,
 	}.Install(net.Sim, net.Router("ler1"), collector)
 	trafficgen.CBR{
 		Flow: trafficgen.Flow{ID: 2, Src: packet.AddrFrom(10, 2, 0, 1), Dst: dstB},
-		Size: 512, Interval: 0.005, Stop: runFor,
+		Size: 512, Interval: 0.005, Stop: stop,
 	}.Install(net.Sim, net.Router("ler2"), collector)
 
 	net.Sim.Run()

@@ -21,6 +21,7 @@ import (
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/qos"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/trafficgen"
 )
 
@@ -77,29 +78,32 @@ func run(name string, newQueue func(int) qos.Scheduler) result {
 
 	// Voice LSP at CoS 5, bulk LSP at CoS 0: the ingress LER stamps the
 	// class into the label stack entry and the core schedulers act on it.
+	// The speakers that signal them stop ticking once they are up.
 	voiceDst := packet.AddrFrom(10, 9, 0, 1)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "voice", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5,
-	})
-	check(err)
 	bulkDst := packet.AddrFrom(10, 9, 0, 2)
-	_, err = net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "bulk", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0,
-	})
+	speakers, err := signaling.Deploy(net)
 	check(err)
+	check(signaling.Establish(net, speakers,
+		ldp.SetupRequest{ID: "voice", FEC: ldp.FEC{Dst: voiceDst, PrefixLen: 32}, Path: path, CoS: 5},
+		ldp.SetupRequest{ID: "bulk", FEC: ldp.FEC{Dst: bulkDst, PrefixLen: 32}, Path: path, CoS: 0},
+	))
+	for _, sp := range speakers {
+		sp.Stop()
+	}
 
+	stop := net.Sim.Now() + runFor
 	for i := 0; i < voiceFlows; i++ {
 		trafficgen.VoIP(trafficgen.Flow{
 			ID:  uint16(i + 1),
 			Src: packet.AddrFrom(10, 1, 0, byte(i+1)),
 			Dst: voiceDst,
-		}, 0, runFor).Install(net.Sim, net.Router("ingress"), collector)
+		}, 0, stop).Install(net.Sim, net.Router("ingress"), collector)
 	}
 	trafficgen.Bulk{
 		Flow:    trafficgen.Flow{ID: bulkFlow, Src: packet.AddrFrom(10, 2, 0, 1), Dst: bulkDst},
 		Size:    1188,
 		RateBPS: 4e6, // 2x the bottleneck
-		Stop:    runFor,
+		Stop:    stop,
 	}.Install(net.Sim, net.Router("ingress"), collector)
 
 	net.Sim.Run()

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"embeddedmpls/internal/guard"
-	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/netsim"
@@ -24,7 +23,6 @@ import (
 	"embeddedmpls/internal/resilience"
 	"embeddedmpls/internal/router"
 	"embeddedmpls/internal/signaling"
-	"embeddedmpls/internal/te"
 	"embeddedmpls/internal/telemetry"
 	"embeddedmpls/internal/trafficgen"
 	"embeddedmpls/internal/transport"
@@ -459,68 +457,54 @@ type Built struct {
 	Registry *telemetry.Registry
 }
 
-// Build constructs the network, establishes tunnels and LSPs, installs
-// the traffic generators and wires collectors at every LSP egress.
+// Build constructs the network with a signaling speaker on every router
+// and establishes the tunnels and LSPs through them — the Setup path a
+// distributed node takes too. It then stops the speakers' ticking, so
+// the run is a static network with no keepalives beside the traffic,
+// wires collectors at every LSP egress and installs the traffic
+// generators. Flow windows count from the moment the LSPs are up.
 func (s *Scenario) Build() (*Built, error) {
 	nodes, links := s.specs()
 	net, err := router.Build(nodes, links)
 	if err != nil {
 		return nil, err
 	}
-
+	b := &Built{Scenario: s, Net: net, Collector: trafficgen.NewCollector(net.Sim)}
+	var reqs []ldp.SetupRequest
 	for _, tn := range s.Tunnels {
-		if _, err := net.LDP.SetupTunnel(tn.ID, tn.Path, tn.BandwidthMbps*1e6); err != nil {
-			return nil, fmt.Errorf("config: tunnel %q: %w", tn.ID, err)
-		}
+		reqs = append(reqs, ldp.SetupRequest{ID: tn.ID, Path: tn.Path, Bandwidth: tn.BandwidthMbps * 1e6, Tunnel: true})
 	}
-
 	egressSet := map[string]bool{}
 	for _, l := range s.LSPs {
-		dst, err := ParseAddr(l.Dst)
+		req, _, err := b.setupRequest(l)
 		if err != nil {
 			return nil, err
 		}
-		path := l.Path
-		if len(path) == 0 {
-			path, err = net.Topo.CSPF(te.PathRequest{
-				From: l.From, To: l.To, BandwidthBPS: l.BandwidthMbps * 1e6,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("config: LSP %q: %w", l.ID, err)
-			}
-		}
-		plen := l.PrefixLen
-		if plen == 0 {
-			plen = 32
-		}
-		if _, err := net.LDP.SetupLSP(ldp.SetupRequest{
-			ID:        l.ID,
-			FEC:       ldp.FEC{Dst: dst, PrefixLen: plen},
-			Path:      path,
-			Bandwidth: l.BandwidthMbps * 1e6,
-			CoS:       label.CoS(l.CoS),
-			PHP:       l.PHP,
-		}); err != nil {
-			return nil, fmt.Errorf("config: LSP %q: %w", l.ID, err)
-		}
-		egressSet[path[len(path)-1]] = true
+		reqs = append(reqs, req)
+		egressSet[req.Path[len(req.Path)-1]] = true
+	}
+	speakers, err := signaling.Deploy(net)
+	if err != nil {
+		return nil, err
+	}
+	if err := signaling.Establish(net, speakers, reqs...); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
 	}
 
-	collector := trafficgen.NewCollector(net.Sim)
-	var egresses []string
 	for name := range egressSet {
-		collector.Attach(net.Router(name))
-		egresses = append(egresses, name)
+		b.Collector.Attach(net.Router(name))
+		b.Egresses = append(b.Egresses, name)
 	}
-
+	sort.Strings(b.Egresses)
 	for _, f := range s.Flows {
-		gen, err := s.generator(f)
-		if err != nil {
+		if err := b.AddFlow(s, f); err != nil {
 			return nil, err
 		}
-		gen.Install(net.Sim, net.Router(f.From), collector)
 	}
-	return &Built{Scenario: s, Net: net, Collector: collector, Egresses: egresses}, nil
+	return b, nil
 }
 
 // specs converts the scenario's nodes and links to router-layer specs.
@@ -725,39 +709,15 @@ func (s *Scenario) BuildNode(name string) (*Built, error) {
 		b.Collector = trafficgen.NewCollector(net.Sim)
 		egressSet := map[string]bool{}
 		for _, l := range s.LSPs {
-			dst, err := ParseAddr(l.Dst)
+			req, ingress, err := b.setupRequest(l)
 			if err != nil {
 				return err
 			}
-			path := l.Path
-			if len(path) == 0 {
-				path, err = net.Topo.CSPF(te.PathRequest{
-					From: l.From, To: l.To, BandwidthBPS: l.BandwidthMbps * 1e6,
-				})
-				if err != nil {
-					return fmt.Errorf("config: LSP %q: %w", l.ID, err)
-				}
-			}
-			egressSet[path[len(path)-1]] = true
-			if path[len(path)-1] == name {
-				// The egress delivers the FEC's traffic locally.
-				local.AddLocal(dst)
-			}
-			if path[0] != name {
+			egressSet[req.Path[len(req.Path)-1]] = true
+			if !ingress {
 				continue
 			}
-			plen := l.PrefixLen
-			if plen == 0 {
-				plen = 32
-			}
-			if err := sp.Setup(ldp.SetupRequest{
-				ID:        l.ID,
-				FEC:       ldp.FEC{Dst: dst, PrefixLen: plen},
-				Path:      path,
-				Bandwidth: l.BandwidthMbps * 1e6,
-				CoS:       label.CoS(l.CoS),
-				PHP:       l.PHP,
-			}, nil); err != nil {
+			if err := sp.Setup(req, nil); err != nil {
 				return fmt.Errorf("config: LSP %q: %w", l.ID, err)
 			}
 		}
@@ -772,11 +732,9 @@ func (s *Scenario) BuildNode(name string) (*Built, error) {
 			if f.From != name {
 				continue
 			}
-			gen, err := s.generator(f)
-			if err != nil {
+			if err := b.AddFlow(s, f); err != nil {
 				return err
 			}
-			gen.Install(net.Sim, local, b.Collector)
 		}
 		return nil
 	}

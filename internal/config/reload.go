@@ -246,12 +246,12 @@ func (b *Built) lspIngress(l LSP) (string, error) {
 	return l.From, nil
 }
 
-// AddFlow installs one traffic generator at runtime. Unlike boot-time
-// installation, start_s and stop_s are interpreted relative to the
-// node's current clock — "start 1s from now, stop 10s from now" — and
-// stop_s of 0 falls back to the scenario duration as a relative
+// AddFlow installs one traffic generator at its source router, at build
+// time or at runtime. start_s and stop_s are interpreted relative to
+// the node's current clock — "start 1s from now, stop 10s from now" —
+// and stop_s of 0 falls back to the scenario duration as a relative
 // window. s supplies the duration default (the scenario the flow came
-// from). The caller holds the network lock.
+// from). A distributed node's caller holds the network lock.
 func (b *Built) AddFlow(s *Scenario, f Flow) error {
 	now := float64(b.Net.Sim.Now())
 	stop := f.StopS
@@ -266,7 +266,7 @@ func (b *Built) AddFlow(s *Scenario, f Flow) error {
 	if err != nil {
 		return err
 	}
-	gen.Install(b.Net.Sim, b.Net.Router(b.LocalNode), b.Collector)
+	gen.Install(b.Net.Sim, b.Net.Router(f.From), b.Collector)
 	return nil
 }
 

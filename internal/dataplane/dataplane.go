@@ -52,8 +52,8 @@ const (
 
 // Engine is the concurrent forwarding engine. Create one with New, feed
 // it with Submit, attach a batch egress sink with WithEgress/SetEgress,
-// reprogram it at any time with Update or the ldp.Installer methods,
-// and stop it with Close.
+// reprogram it at any time with Update or the table programming methods
+// (InstallFEC, InstallILM, RemoveILM, RemoveFEC), and stop it with Close.
 type Engine struct {
 	table   atomic.Pointer[swmpls.Forwarder]
 	updates atomic.Uint64 // published snapshots, for observability/tests
@@ -164,7 +164,7 @@ func New(opts ...Option) *Engine {
 }
 
 // SetPublishHook installs an injectable interceptor for table publishes:
-// Update (and the Installer methods riding it) consults the hook after
+// Update (and the table programming methods riding it) consults the hook after
 // the edit is applied to the clone, and a non-nil error discards the
 // snapshot, leaving the live table unchanged. The fault layer uses it to
 // model a control-plane write failure; nil removes the hook.
@@ -346,28 +346,28 @@ func (e *Engine) Update(apply func(*swmpls.Forwarder) error) error {
 	return nil
 }
 
-// InstallFEC, InstallILM, RemoveILM and RemoveFEC implement the
-// ldp.Installer contract, so an LDP manager (or a router wrapper) can
-// program the engine exactly like the serial data planes. Each call
-// publishes one snapshot; batch related changes through Update to
-// publish them atomically together.
+// InstallFEC, InstallILM, RemoveILM and RemoveFEC are the table
+// programming surface of every data plane, so the signaling speaker
+// (through a router's EnginePlane) programs the engine exactly like the
+// serial planes. Each call publishes one snapshot; batch related changes
+// through Update to publish them atomically together.
 
-// InstallFEC implements ldp.Installer.
+// InstallFEC binds a FEC to its ingress NHLFE.
 func (e *Engine) InstallFEC(dst packet.Addr, prefixLen int, n swmpls.NHLFE) error {
 	return e.Update(func(f *swmpls.Forwarder) error { return f.InstallFEC(dst, prefixLen, n) })
 }
 
-// InstallILM implements ldp.Installer.
+// InstallILM binds an incoming label to its NHLFE.
 func (e *Engine) InstallILM(in label.Label, n swmpls.NHLFE) error {
 	return e.Update(func(f *swmpls.Forwarder) error { return f.InstallILM(in, n) })
 }
 
-// RemoveILM implements ldp.Installer.
+// RemoveILM unbinds an incoming label.
 func (e *Engine) RemoveILM(in label.Label) {
 	_ = e.Update(func(f *swmpls.Forwarder) error { f.RemoveILM(in); return nil })
 }
 
-// RemoveFEC implements ldp.Installer.
+// RemoveFEC unbinds a FEC.
 func (e *Engine) RemoveFEC(dst packet.Addr, prefixLen int) {
 	_ = e.Update(func(f *swmpls.Forwarder) error { f.RemoveFEC(dst, prefixLen); return nil })
 }

@@ -8,15 +8,10 @@ import (
 	"time"
 
 	"embeddedmpls/internal/label"
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/swmpls"
 	"embeddedmpls/internal/telemetry"
 )
-
-// The engine must be programmable by the LDP manager exactly like the
-// serial data planes.
-var _ ldp.Installer = (*Engine)(nil)
 
 func swapNHLFE(out label.Label, nh string) swmpls.NHLFE {
 	return swmpls.NHLFE{NextHop: nh, Op: label.OpSwap, PushLabels: []label.Label{out}}

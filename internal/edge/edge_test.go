@@ -9,6 +9,7 @@ import (
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 )
 
 var (
@@ -34,12 +35,19 @@ func mplsNet(t *testing.T) (*router.Network, *Port, *Port) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
+	speakers, err := signaling.Deploy(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := signaling.Establish(n, speakers, ldp.SetupRequest{
 		ID:   "lsp",
 		FEC:  ldp.FEC{Dst: dstHost, PrefixLen: 32},
 		Path: []string{"ler-in", "lsr", "ler-out"},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
 	}
 
 	eth := NewPort("eth0", n.Router("ler-in"),

@@ -13,6 +13,7 @@ import (
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/swmpls"
 	"embeddedmpls/internal/telemetry"
 )
@@ -106,14 +107,22 @@ func TestInjectorRejectsUnknownLink(t *testing.T) {
 	}
 }
 
-// setupLineLSP installs a->b->c and returns the destination.
+// setupLineLSP signals a->b->c, stops the speakers so the line is a
+// static network, and returns the destination.
 func setupLineLSP(t *testing.T, n *router.Network) packet.Addr {
 	t.Helper()
 	dst := packet.AddrFrom(10, 0, 0, 1)
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
+	speakers, err := signaling.Deploy(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := signaling.Establish(n, speakers, ldp.SetupRequest{
 		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "c"},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
 	}
 	return dst
 }

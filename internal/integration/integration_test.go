@@ -14,6 +14,7 @@ import (
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/te"
 	"embeddedmpls/internal/trafficgen"
 )
@@ -70,9 +71,19 @@ type flowSpec struct {
 }
 
 // setupRandomLSPs routes nFlows LSPs between random distinct node pairs
-// via CSPF and returns their specs.
+// via CSPF, signals them one by one (each CSPF sees the reservations of
+// the LSPs before it), stops the speakers and returns the LSPs' specs.
 func setupRandomLSPs(t *testing.T, rng *rand.Rand, net *router.Network, nFlows int) []flowSpec {
 	t.Helper()
+	speakers, err := signaling.Deploy(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, sp := range speakers {
+			sp.Stop()
+		}
+	}()
 	names := net.Topo.Nodes()
 	var flows []flowSpec
 	for i := 0; i < nFlows; i++ {
@@ -86,7 +97,7 @@ func setupRandomLSPs(t *testing.T, rng *rand.Rand, net *router.Network, nFlows i
 			continue // partition shouldn't happen (spanning tree) but be safe
 		}
 		addr := packet.AddrFrom(10, byte(i), 0, 1)
-		_, err = net.LDP.SetupLSP(ldp.SetupRequest{
+		err = signaling.Establish(net, speakers, ldp.SetupRequest{
 			ID:        fmt.Sprintf("lsp%d", i),
 			FEC:       ldp.FEC{Dst: addr, PrefixLen: 32},
 			Path:      path,
@@ -135,12 +146,13 @@ func TestRandomMeshConservationAndTTL(t *testing.T) {
 				}
 			}
 			const perFlow = 50
+			stop := net.Sim.Now() + 0.002*perFlow - 0.001
 			for _, f := range flows {
 				trafficgen.CBR{
 					Flow:     trafficgen.Flow{ID: f.id, Dst: f.dst, TTL: 64},
 					Size:     256,
 					Interval: 0.002,
-					Stop:     0.002*perFlow - 0.001,
+					Stop:     stop,
 				}.Install(net.Sim, net.Router(f.path[0]), collector)
 			}
 			net.Sim.Run()
@@ -236,10 +248,17 @@ func TestOverloadAccountsEveryPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := packet.AddrFrom(10, 0, 0, 1)
-	if _, err := net.LDP.SetupLSP(ldp.SetupRequest{
+	speakers, err := signaling.Deploy(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := signaling.Establish(net, speakers, ldp.SetupRequest{
 		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"r0", "r1", "r2"},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
 	}
 	collector := trafficgen.NewCollector(net.Sim)
 	collector.Attach(net.Router("r2"))

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 )
@@ -22,13 +21,7 @@ func udpLine(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := packet.AddrFrom(10, 0, 0, 9)
-	if _, err := net.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b"},
-	}); err != nil {
-		net.Close()
-		t.Fatal(err)
-	}
+	installLSP(t, net, packet.AddrFrom(10, 0, 0, 9), []string{"a", "b"}, 100, false)
 	return net
 }
 

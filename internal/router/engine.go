@@ -65,20 +65,20 @@ func (e *EnginePlane) FECEntries() []swmpls.FECEntry {
 	return e.Engine.TableSnapshot().FECEntries()
 }
 
-// InstallFEC implements ldp.Installer by publishing a new snapshot.
+// InstallFEC implements DataPlane by publishing a new snapshot.
 func (e *EnginePlane) InstallFEC(dst packet.Addr, prefixLen int, n swmpls.NHLFE) error {
 	return e.Engine.InstallFEC(dst, prefixLen, n)
 }
 
-// InstallILM implements ldp.Installer by publishing a new snapshot.
+// InstallILM implements DataPlane by publishing a new snapshot.
 func (e *EnginePlane) InstallILM(in label.Label, n swmpls.NHLFE) error {
 	return e.Engine.InstallILM(in, n)
 }
 
-// RemoveILM implements ldp.Installer by publishing a new snapshot.
+// RemoveILM implements DataPlane by publishing a new snapshot.
 func (e *EnginePlane) RemoveILM(in label.Label) { e.Engine.RemoveILM(in) }
 
-// RemoveFEC implements ldp.Installer by publishing a new snapshot.
+// RemoveFEC implements DataPlane by publishing a new snapshot.
 func (e *EnginePlane) RemoveFEC(dst packet.Addr, prefixLen int) {
 	e.Engine.RemoveFEC(dst, prefixLen)
 }

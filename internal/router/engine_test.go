@@ -3,13 +3,12 @@ package router
 import (
 	"testing"
 
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
 )
 
 // TestEnginePlaneFollowsLSP runs the engine-backed data plane through
-// the standard 4-node LSP scenario: LDP programs the engines via
-// snapshot publication, packets follow the path, and the plane's
+// the standard 4-node LSP scenario: table programming reaches the
+// engines via snapshot publication, packets follow the path, and the plane's
 // amortised per-packet cost is cheaper than the serial baseline.
 func TestEnginePlaneFollowsLSP(t *testing.T) {
 	nodes := []NodeSpec{
@@ -29,13 +28,7 @@ func TestEnginePlaneFollowsLSP(t *testing.T) {
 	}
 	defer n.Close()
 
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID:   "lsp",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "b", "c", "d"},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	remove := installLSP(t, n, dst, []string{"a", "b", "c", "d"}, 100, false)
 
 	ep, ok := n.Router("a").Plane().(*EnginePlane)
 	if !ok {
@@ -44,7 +37,7 @@ func TestEnginePlaneFollowsLSP(t *testing.T) {
 	if ep.PerPacket >= DefaultSoftwareCost {
 		t.Errorf("engine per-packet cost %v not amortised below baseline %v", ep.PerPacket, DefaultSoftwareCost)
 	}
-	// LDP programming went through snapshot publication.
+	// Table programming went through snapshot publication.
 	if ep.Engine.Updates() == 0 {
 		t.Error("no snapshots published by LSP setup")
 	}
@@ -71,9 +64,7 @@ func TestEnginePlaneFollowsLSP(t *testing.T) {
 		}
 	}
 	// Teardown must unprogram the engines the same way.
-	if err := n.LDP.TearDown("lsp"); err != nil {
-		t.Fatal(err)
-	}
+	remove(true)
 	p := packet.New(packet.AddrFrom(192, 0, 2, 1), dst, 64, nil)
 	n.Router("a").Inject(p)
 	n.Sim.Run()

@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/te"
@@ -37,11 +36,7 @@ func diamondNet(t *testing.T) *Network {
 func TestFailoverEndToEnd(t *testing.T) {
 	n := diamondNet(t)
 	dst := packet.AddrFrom(10, 0, 0, 9)
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "d"},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	removeOld := installLSP(t, n, dst, []string{"a", "b", "d"}, 100, false)
 
 	delivered := 0
 	n.Router("d").OnDeliver = func(*packet.Packet) { delivered++ }
@@ -56,7 +51,8 @@ func TestFailoverEndToEnd(t *testing.T) {
 		})
 	}
 	// At t=30ms the a-b link fails; at t=35ms the control plane has
-	// computed a repair path (excluding b) and reroutes.
+	// computed a repair path (excluding b) and reroutes onto it,
+	// replacing the ingress entry and dropping the old path's labels.
 	n.Sim.Schedule(0.030, func() {
 		if err := n.SetLinkDown("a", "b", true); err != nil {
 			t.Error(err)
@@ -68,9 +64,8 @@ func TestFailoverEndToEnd(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := n.LDP.Reroute("l", repair); err != nil {
-			t.Error(err)
-		}
+		installLSP(t, n, dst, repair, 200, false)
+		removeOld(false)
 	})
 	n.Sim.Run()
 
@@ -102,14 +97,9 @@ func TestFailoverEndToEnd(t *testing.T) {
 func TestFailoverRestoresAfterRepair(t *testing.T) {
 	n := diamondNet(t)
 	dst := packet.AddrFrom(10, 0, 0, 9)
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "c", "d"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.LDP.Reroute("l", []string{"a", "b", "d"}); err != nil {
-		t.Fatal(err)
-	}
+	removeBackup := installLSP(t, n, dst, []string{"a", "c", "d"}, 100, false)
+	installLSP(t, n, dst, []string{"a", "b", "d"}, 200, false)
+	removeBackup(false)
 	got := 0
 	n.Router("d").OnDeliver = func(*packet.Packet) { got++ }
 	n.Router("a").Inject(packet.New(1, dst, 64, nil))

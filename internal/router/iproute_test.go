@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"embeddedmpls/internal/iproute"
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
 )
 
@@ -61,11 +60,7 @@ func TestIPFallbackOnHardwareLSR(t *testing.T) {
 func TestMPLSPreferredOverIPFallback(t *testing.T) {
 	n := lineNet(t, false)
 	installIPTables(t, n, []iproute.PrefixOwner{{Prefix: dst, Len: 32, Node: "d"}})
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID: "lsp", FEC: ldp.FEC{Dst: dst, PrefixLen: 32}, Path: []string{"a", "b", "c", "d"},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	installLSP(t, n, dst, []string{"a", "b", "c", "d"}, 100, false)
 	seenLabelled := false
 	// Snoop at c: with the LSP installed the packet must arrive labelled.
 	orig := n.Router("c").Plane()

@@ -9,7 +9,6 @@ import (
 
 	"embeddedmpls/internal/dataplane"
 	"embeddedmpls/internal/device"
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/netsim"
 	"embeddedmpls/internal/packet"
@@ -100,12 +99,13 @@ type LinkSpec struct {
 	SysBatch int
 }
 
-// Network bundles a simulated MPLS network: event simulator, TE topology,
-// LDP manager and the routers themselves.
+// Network bundles a simulated MPLS network: event simulator, TE topology
+// and the routers themselves. Label distribution is not part of it: the
+// signaling speakers (package signaling) program the routers' tables,
+// one per router in process or one per distributed node.
 type Network struct {
 	Sim     *netsim.Simulator
 	Topo    *te.Topology
-	LDP     *ldp.Manager
 	Routers map[string]*Router
 
 	// Wire aggregates transport counters across every UDP link and
@@ -176,9 +176,8 @@ func newPlane(spec NodeSpec) (DataPlane, error) {
 }
 
 // Build wires a network from specs: routers with their data planes, TE
-// topology nodes/links, links in both directions — simulated or
-// transport-backed per spec — and an LDP manager with every router
-// registered.
+// topology nodes/links, and links in both directions — simulated or
+// transport-backed per spec.
 func Build(nodes []NodeSpec, links []LinkSpec) (*Network, error) {
 	n := &Network{
 		Sim:     netsim.New(),
@@ -237,12 +236,6 @@ func Build(nodes []NodeSpec, links []LinkSpec) (*Network, error) {
 			return nil, err
 		}
 	}
-	n.LDP = ldp.NewManager(n.Topo)
-	for name, r := range n.Routers {
-		if err := n.LDP.Register(name, r); err != nil {
-			return nil, err
-		}
-	}
 	return n, nil
 }
 
@@ -252,9 +245,7 @@ func Build(nodes []NodeSpec, links []LinkSpec) (*Network, error) {
 // router is instantiated — no ghost routers, no ghost label tables. No
 // links are wired either; the caller attaches transport links toward
 // its actual neighbours, and label bindings arrive over those links via
-// the signaling plane instead of being precomputed in-process. The LDP
-// manager exists with only the local router registered, for callers
-// that program local state directly.
+// the signaling plane instead of being precomputed in-process.
 func BuildLocal(nodes []NodeSpec, links []LinkSpec, local string) (*Network, error) {
 	n := &Network{
 		Sim:     netsim.New(),
@@ -295,10 +286,6 @@ func BuildLocal(nodes []NodeSpec, links []LinkSpec, local string) (*Network, err
 		}); err != nil {
 			return nil, err
 		}
-	}
-	n.LDP = ldp.NewManager(n.Topo)
-	if err := n.LDP.Register(local, n.Routers[local]); err != nil {
-		return nil, err
 	}
 	return n, nil
 }

@@ -3,26 +3,22 @@ package router
 import (
 	"testing"
 
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/packet"
 )
 
 // rerouteTrafficRun drives a CBR flow through the diamond and moves it
-// from a-b-d to a-c-d at rerouteAt. With failAt >= 0 the a-b link goes
-// down at failAt and Reroute breaks the old path at once; with failAt < 0
-// (both paths healthy) a second LSP takes over the ingress FTN entry and
-// the old path's label entries go only after the longest in-flight packet
-// (two 1 ms hops plus transmission) has drained. It returns sent,
+// from a-b-d to a-c-d at rerouteAt: the new path takes over the ingress
+// FTN entry. With failAt >= 0 the a-b link goes down at failAt and the
+// old path's label entries go at once; with failAt < 0 (both paths
+// healthy) they go only after the longest in-flight packet (two 1 ms
+// hops plus transmission) has drained. It returns sent,
 // delivered, how many packets the failed link ate, and the count of
 // intra-flow sequence inversions seen at the egress.
 func rerouteTrafficRun(t *testing.T, failAt, rerouteAt float64) (sent, delivered int, linkLost uint64, inversions int) {
 	t.Helper()
 	n := diamondNet(t)
-	fec := ldp.FEC{Dst: packet.AddrFrom(10, 0, 0, 9), PrefixLen: 32}
-	old, err := n.LDP.SetupLSP(ldp.SetupRequest{ID: "l", FEC: fec, Path: []string{"a", "b", "d"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := packet.AddrFrom(10, 0, 0, 9)
+	removeOld := installLSP(t, n, dst, []string{"a", "b", "d"}, 100, false)
 
 	var lastSeq uint64
 	n.Router("d").OnDeliver = func(p *packet.Packet) {
@@ -36,7 +32,7 @@ func rerouteTrafficRun(t *testing.T, failAt, rerouteAt float64) (sent, delivered
 	for i := 0; i < 200; i++ {
 		i := i
 		n.Sim.Schedule(float64(i)*0.0005, func() {
-			p := packet.New(1, fec.Dst, 64, make([]byte, 64))
+			p := packet.New(1, dst, 64, make([]byte, 64))
 			p.Header.FlowID = 7
 			p.SeqNo = uint64(i + 1)
 			n.Router("a").Inject(p)
@@ -52,17 +48,11 @@ func rerouteTrafficRun(t *testing.T, failAt, rerouteAt float64) (sent, delivered
 		})
 	}
 	n.Sim.Schedule(rerouteAt, func() {
+		installLSP(t, n, dst, []string{"a", "c", "d"}, 200, false)
 		if failAt >= 0 {
-			err = n.LDP.Reroute("l", []string{"a", "c", "d"})
-		} else if _, err = n.LDP.SetupLSP(ldp.SetupRequest{ID: "l2", FEC: fec, Path: []string{"a", "c", "d"}}); err == nil {
-			n.Sim.Schedule(0.02, func() {
-				for i, in := range old.HopLabels {
-					n.Router(old.Path[i+1]).RemoveILM(in)
-				}
-			})
-		}
-		if err != nil {
-			t.Error(err)
+			removeOld(false)
+		} else {
+			n.Sim.Schedule(0.02, func() { removeOld(false) })
 		}
 	})
 	n.Sim.Run()

@@ -24,7 +24,8 @@ import (
 // DataPlane is a forwarding engine as the router sees it: one
 // processing step with simulator timing — Process reports how long the
 // engine was occupied — the unified telemetry attachment, the table
-// programming surface used by ldp.Manager, and lifecycle cleanup.
+// programming surface the signaling speaker installs through, and
+// lifecycle cleanup.
 // Close releases whatever the plane holds (worker goroutines for the
 // concurrent engine; a no-op for the serial planes), letting the
 // network tear down any plane without knowing its concrete type.
@@ -220,22 +221,22 @@ func (r *Router) Name() string { return r.name }
 func (r *Router) Plane() DataPlane { return r.plane }
 
 // InstallFEC, InstallILM, RemoveILM and RemoveFEC delegate to the data
-// plane so a Router satisfies ldp.Installer directly.
+// plane: the table programming surface of the signaling speaker.
 
-// InstallFEC implements ldp.Installer.
+// InstallFEC binds a FEC to its ingress NHLFE.
 func (r *Router) InstallFEC(dst packet.Addr, prefixLen int, n swmpls.NHLFE) error {
 	return r.plane.InstallFEC(dst, prefixLen, n)
 }
 
-// InstallILM implements ldp.Installer.
+// InstallILM binds an incoming label to its NHLFE.
 func (r *Router) InstallILM(in label.Label, n swmpls.NHLFE) error {
 	return r.plane.InstallILM(in, n)
 }
 
-// RemoveILM implements ldp.Installer.
+// RemoveILM unbinds an incoming label.
 func (r *Router) RemoveILM(in label.Label) { r.plane.RemoveILM(in) }
 
-// RemoveFEC implements ldp.Installer.
+// RemoveFEC unbinds a FEC.
 func (r *Router) RemoveFEC(dst packet.Addr, prefixLen int) { r.plane.RemoveFEC(dst, prefixLen) }
 
 // AttachLink registers an outgoing link, keyed by the receiving node's

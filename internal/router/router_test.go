@@ -6,7 +6,6 @@ import (
 	"embeddedmpls/internal/dataplane"
 	"embeddedmpls/internal/device"
 	"embeddedmpls/internal/label"
-	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/netsim"
 	"embeddedmpls/internal/packet"
@@ -46,13 +45,7 @@ func TestPacketFollowsLSPBothPlanes(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			n := lineNet(t, hw)
-			if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-				ID:   "lsp",
-				FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-				Path: []string{"a", "b", "c", "d"},
-			}); err != nil {
-				t.Fatal(err)
-			}
+			installLSP(t, n, dst, []string{"a", "b", "c", "d"}, 100, false)
 			var delivered []*packet.Packet
 			n.Router("d").OnDeliver = func(p *packet.Packet) { delivered = append(delivered, p) }
 
@@ -86,13 +79,7 @@ func TestPacketFollowsLSPBothPlanes(t *testing.T) {
 func TestHardwareFasterThanSoftwareEndToEnd(t *testing.T) {
 	latency := func(hw bool) netsim.Time {
 		n := lineNet(t, hw)
-		if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-			ID:   "lsp",
-			FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-			Path: []string{"a", "b", "c", "d"},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		installLSP(t, n, dst, []string{"a", "b", "c", "d"}, 100, false)
 		var at netsim.Time = -1
 		n.Router("d").OnDeliver = func(*packet.Packet) { at = n.Sim.Now() }
 		n.Router("a").Inject(packet.New(1, dst, 64, make([]byte, 100)))
@@ -187,14 +174,24 @@ func TestTunnelOverHardwarePlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.LDP.SetupTunnel("tun", []string{"b", "c", "d"}, 0); err != nil {
-		t.Fatal(err)
+	// b pushes the tunnel label onto the unchanged inner label 100; the
+	// tunnel tail d pops, re-examines 100 and swaps it toward e.
+	for _, e := range []struct {
+		router string
+		in     label.Label
+		nhlfe  swmpls.NHLFE
+	}{
+		{"b", 100, swmpls.NHLFE{NextHop: "c", Op: label.OpPush, PushLabels: []label.Label{200}}},
+		{"c", 200, swmpls.NHLFE{NextHop: "d", Op: label.OpSwap, PushLabels: []label.Label{201}}},
+		{"d", 201, swmpls.NHLFE{Op: label.OpPop}},
+		{"d", 100, swmpls.NHLFE{NextHop: "e", Op: label.OpSwap, PushLabels: []label.Label{101}}},
+		{"e", 101, swmpls.NHLFE{Op: label.OpPop}},
+	} {
+		if err := n.Router(e.router).InstallILM(e.in, e.nhlfe); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID:   "inner",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"a", "b", "d", "e"},
-	}); err != nil {
+	if err := n.Router("a").InstallFEC(dst, 32, swmpls.NHLFE{NextHop: "b", Op: label.OpPush, PushLabels: []label.Label{100}}); err != nil {
 		t.Fatal(err)
 	}
 	var delivered *packet.Packet
@@ -245,14 +242,7 @@ func TestPHPEndToEnd(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			n := lineNet(t, hw)
-			if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-				ID:   "php",
-				FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-				Path: []string{"a", "b", "c", "d"},
-				PHP:  true,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			installLSP(t, n, dst, []string{"a", "b", "c", "d"}, 100, true)
 			n.Router("d").AddLocal(dst)
 			var got *packet.Packet
 			n.Router("d").OnDeliver = func(p *packet.Packet) { got = p }

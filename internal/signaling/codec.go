@@ -109,6 +109,9 @@ type Message struct {
 	Src transport.NodeID
 	// PHP requests penultimate-hop popping for the LSP.
 	PHP bool
+	// tunnel marks a label request for a hierarchical LSP: no FEC, a
+	// pop-and-reexamine at the tail, and a hop other LSPs may ride.
+	tunnel bool
 	// Code qualifies Error messages (ErrCode* values).
 	Code uint8
 	// FEC is the forwarding equivalence class the label binds to.
@@ -128,8 +131,10 @@ type Message struct {
 	// never allocates).
 	IDLen uint8
 	ID    [MaxIDLen]byte
-	// Route is the remaining explicit route, ingress-relative, for
-	// label requests travelling downstream.
+	// Route is the LSP's explicit route, ingress first. Label requests
+	// always carry it; any other label message carries it when it
+	// crosses a tunnel hop, so the tunnel's transit speakers can relay
+	// it.
 	Route []transport.NodeID
 }
 
@@ -207,6 +212,9 @@ func (m *Message) flags() byte {
 	if m.PHP {
 		f |= 1
 	}
+	if m.tunnel {
+		f |= 2
+	}
 	return f
 }
 
@@ -227,7 +235,7 @@ func DecodeMessage(m *Message, buf []byte) error {
 	if !t.Valid() {
 		return fmt.Errorf("%w: type %d", ErrBadField, buf[3])
 	}
-	if buf[6]&^1 != 0 {
+	if buf[6]&^3 != 0 {
 		return fmt.Errorf("%w: unknown flags %#02x", ErrBadField, buf[6])
 	}
 	if buf[12] > 32 {
@@ -245,6 +253,7 @@ func DecodeMessage(m *Message, buf []byte) error {
 	m.Type = t
 	m.Src = transport.NodeID(buf[4])<<8 | transport.NodeID(buf[5])
 	m.PHP = buf[6]&1 != 0
+	m.tunnel = buf[6]&2 != 0
 	m.Code = buf[7]
 	m.FEC.Dst = packet.Addr(buf[8])<<24 | packet.Addr(buf[9])<<16 | packet.Addr(buf[10])<<8 | packet.Addr(buf[11])
 	m.FEC.PrefixLen = int(buf[12])

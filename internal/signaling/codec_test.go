@@ -68,6 +68,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Type: MsgHello, Src: 9, Hold: 0.06},
 		{Type: MsgKeepalive},
 		{Type: MsgError, Code: ErrCodeNoBandwidth},
+		{Type: MsgLabelRequest, tunnel: true, Route: []transport.NodeID{4, 5, 6}},
 	} {
 		buf, err := AppendMessage(nil, &m)
 		if err != nil {
@@ -77,7 +78,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := DecodeMessage(&out, buf); err != nil {
 			t.Fatalf("decode %v: %v", m.Type, err)
 		}
-		if out.Type != m.Type || out.Src != m.Src || out.PHP != m.PHP ||
+		if out.Type != m.Type || out.Src != m.Src || out.PHP != m.PHP || out.tunnel != m.tunnel ||
 			out.Code != m.Code || out.FEC != m.FEC || out.CoS != m.CoS ||
 			out.Label != m.Label || out.Avoid != m.Avoid ||
 			out.IDString() != m.IDString() ||
@@ -115,6 +116,7 @@ func TestCodecRejects(t *testing.T) {
 		{"truncated id", func(b []byte) []byte { return b[:headerSize+2] }},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }},
 		{"id len overflow", func(b []byte) []byte { b[38] = MaxIDLen + 1; return b }},
+		{"unknown flag", func(b []byte) []byte { b[6] |= 4; return b }},
 	}
 	for _, c := range cases {
 		cp := append([]byte(nil), buf...)

@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"errors"
 	"fmt"
 
 	"embeddedmpls/internal/label"
@@ -38,10 +39,18 @@ type SessionInfo struct {
 	Up    bool   `json:"up"`
 }
 
+// errTunnelInUse refuses to tear down or re-provision a tunnel another
+// LSP rides: its riders push the tunnel's first label at the head.
+var errTunnelInUse = errors.New("signaling: tunnel is used by another LSP")
+
 // validateSetup checks the parts of a setup request that do not depend
 // on existing state: Setup and Provision share it, but only Setup
 // rejects an id that is already in use (Provision re-signals it
-// make-before-break instead).
+// make-before-break instead). The first hop must be a link: an LSP
+// enters a tunnel at its head, never at its own ingress. A tunnel runs
+// over links only (the hardware's three stack levels are spent by one
+// tunnel layer under labelled traffic) and takes no PHP, since its tail
+// must pop and re-examine.
 func (s *Speaker) validateSetup(req ldp.SetupRequest) error {
 	if req.ID == "" {
 		return fmt.Errorf("signaling: LSP needs an id")
@@ -63,6 +72,35 @@ func (s *Speaker) validateSetup(req ldp.SetupRequest) error {
 			return fmt.Errorf("signaling: unknown node %q in path", n)
 		}
 	}
+	if !s.direct(req.Path[1]) {
+		return fmt.Errorf("signaling: path starts with %s->%s, which is not a link", req.Path[0], req.Path[1])
+	}
+	if !req.Tunnel {
+		return nil
+	}
+	if req.PHP {
+		return fmt.Errorf("signaling: tunnels do not support PHP")
+	}
+	for i := 1; i+1 < len(req.Path); i++ {
+		if _, ok := s.topo.Link(req.Path[i], req.Path[i+1]); !ok {
+			return fmt.Errorf("signaling: tunnel hop %s->%s is not a link: tunnels cannot ride tunnels", req.Path[i], req.Path[i+1])
+		}
+	}
+	return nil
+}
+
+// ridden returns an error when an LSP through this node rides the
+// tunnel l heads.
+func (s *Speaker) ridden(l *lsp) error {
+	tail := l.route[len(l.route)-1]
+	if !l.tunnel || s.direct(tail) {
+		return nil
+	}
+	for _, id := range sortedKeys(s.lsps) {
+		if r := s.lsps[id]; !r.tunnel && r.downstream == tail {
+			return fmt.Errorf("%w: %q rides %q", errTunnelInUse, r.base, l.base)
+		}
+	}
 	return nil
 }
 
@@ -81,18 +119,10 @@ func (s *Speaker) Provision(req ldp.SetupRequest, done func(error)) error {
 	if err := s.validateSetup(req); err != nil {
 		return err
 	}
-	nl := &lsp{
-		id:         fmt.Sprintf("%s#%d", req.ID, old.gen+1),
-		base:       req.ID,
-		gen:        old.gen + 1,
-		fec:        req.FEC,
-		cos:        req.CoS,
-		php:        req.PHP,
-		bandwidth:  req.Bandwidth,
-		route:      append([]string(nil), req.Path...),
-		downstream: req.Path[1],
-		done:       done,
+	if err := s.ridden(old); err != nil {
+		return err
 	}
+	nl := generation(req, old.gen+1, done)
 	old.done = nil
 	if _, live := s.lsps[old.id]; live {
 		nl.prev = old // make-before-break: release old only once nl maps
@@ -108,11 +138,15 @@ func (s *Speaker) Provision(req ldp.SetupRequest, done func(error)) error {
 
 // Teardown removes an ingress LSP at runtime: the release cascades
 // downstream so every hop frees its label, tables and reservation, and
-// the base id becomes reusable. Only the ingress may tear an LSP down.
+// the base id becomes reusable. Only the ingress may tear an LSP down,
+// and a tunnel only once nothing rides it.
 func (s *Speaker) Teardown(base string) error {
 	l, ok := s.byBase[base]
 	if !ok {
 		return fmt.Errorf("signaling: no ingress LSP %q on %s", base, s.name)
+	}
+	if err := s.ridden(l); err != nil {
+		return err
 	}
 	// Mid-make-before-break the superseded generation is still installed
 	// downstream; release it too or its labels leak until session churn.
@@ -136,10 +170,10 @@ func (s *Speaker) Teardown(base string) error {
 // awaiting the maintenance sweep) — those appear with Pending set.
 func (s *Speaker) List() []LSPInfo {
 	out := make([]LSPInfo, 0, len(s.lsps))
-	for _, id := range s.sortedLSPIDs() {
+	for _, id := range sortedKeys(s.lsps) {
 		out = append(out, s.info(s.lsps[id], false))
 	}
-	for _, base := range s.sortedBases() {
+	for _, base := range sortedKeys(s.byBase) {
 		l := s.byBase[base]
 		if _, live := s.lsps[l.id]; !live {
 			out = append(out, s.info(l, true))
@@ -193,7 +227,7 @@ func (s *Speaker) SetGuard(g LabelGuard) {
 	if g == nil {
 		return
 	}
-	for _, id := range s.sortedLSPIDs() {
+	for _, id := range sortedKeys(s.lsps) {
 		l := s.lsps[id]
 		if l.upstream != "" && l.inLabel != 0 && l.inLabel != label.ImplicitNull {
 			g.Advertise(l.upstream, l.inLabel)

@@ -3,7 +3,9 @@ package signaling
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/ldp"
@@ -60,7 +62,7 @@ type Speaker struct {
 	sessions  map[string]*Session
 	lsps      map[string]*lsp // by generation-qualified id
 	byBase    map[string]*lsp // ingress LSPs by base id, current generation
-	next      label.Label
+	next, end label.Label     // this node's label block: [next, end) is unallocated
 	addr      packet.Addr
 	pending   map[string][]*Message // messages queued for a not-yet-up session
 	rx        Message               // reusable decode target
@@ -90,6 +92,7 @@ type lsp struct {
 	fec          ldp.FEC
 	cos          label.CoS
 	php          bool
+	tunnel       bool
 	bandwidth    float64
 	route        []string // full path, ingress first
 	upstream     string   // "" at the ingress
@@ -128,7 +131,6 @@ func New(r *router.Router, topo *te.Topology, clock Clock, names []string, self 
 		sessions:  make(map[string]*Session),
 		lsps:      make(map[string]*lsp),
 		byBase:    make(map[string]*lsp),
-		next:      label.FirstUnreserved,
 		pending:   make(map[string][]*Message),
 		redialing: make(map[string]bool),
 		avoids:    make(map[string]map[te.LinkKey]float64),
@@ -144,6 +146,9 @@ func New(r *router.Router, topo *te.Topology, clock Clock, names []string, self 
 		return nil, fmt.Errorf("signaling: node %q not in name table", self)
 	}
 	s.self = id
+	block := (label.MaxLabel + 1 - label.FirstUnreserved) / label.Label(len(names))
+	s.next = label.FirstUnreserved + label.Label(id)*block
+	s.end = s.next + block
 	s.addr = ControlAddr(id)
 	r.AddLocal(s.addr)
 	r.AddControlSink(s.sink)
@@ -164,10 +169,14 @@ func New(r *router.Router, topo *te.Topology, clock Clock, names []string, self 
 func (s *Speaker) Name() string { return s.name }
 
 // Peers returns the session peers in sorted order.
-func (s *Speaker) Peers() []string {
-	out := make([]string, 0, len(s.sessions))
-	for p := range s.sessions {
-		out = append(out, p)
+func (s *Speaker) Peers() []string { return sortedKeys(s.sessions) }
+
+// sortedKeys returns m's keys in order, so every walk over speaker
+// state is deterministic.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -306,9 +315,75 @@ func (s *Speaker) sink(p *packet.Packet) bool {
 		if sess, ok := s.sessions[peer]; ok {
 			sess.Touch(now)
 		}
+		if len(m.Route) > 0 && !slices.Contains(m.Route, s.self) {
+			s.relay(m)
+			return true
+		}
 		s.handleLabelMsg(peer, m)
 	}
 	return true
+}
+
+// relay passes on a label message of an LSP that rides a tunnel this
+// node is a transit of. The message names the tunnel by the head->tail
+// pair in the route it carries, and moves one hop along the tunnel:
+// toward the tail for requests and releases, toward the head for the
+// rest. Its Src stays the LSP hop that sent it, so the far end of the
+// tunnel hop sees its logical neighbour.
+func (s *Speaker) relay(m *Message) {
+	for i := 0; i+1 < len(m.Route); i++ {
+		if int(m.Route[i]) >= len(s.names) || int(m.Route[i+1]) >= len(s.names) {
+			return
+		}
+		t := s.tunnel(s.names[m.Route[i]], s.names[m.Route[i+1]])
+		if t == nil {
+			continue
+		}
+		next := t.upstream
+		if m.Type == MsgLabelRequest || m.Type == MsgLabelRelease {
+			next = t.downstream
+		}
+		s.sendWhenUp(next, m)
+		return
+	}
+}
+
+// tunnel returns the tunnel generation from head to tail this node
+// holds state for, or nil.
+func (s *Speaker) tunnel(head, tail string) *lsp {
+	for _, id := range sortedKeys(s.lsps) {
+		if l := s.lsps[id]; l.tunnel && l.route[0] == head && l.route[len(l.route)-1] == tail {
+			return l
+		}
+	}
+	return nil
+}
+
+// direct reports whether peer is a link neighbour; any other hop of a
+// route rides a tunnel.
+func (s *Speaker) direct(peer string) bool {
+	_, ok := s.sessions[peer]
+	return ok
+}
+
+// sendTo sends a label message of l to peer, l's upstream or downstream
+// hop. Across a tunnel hop the message carries l's route and enters the
+// tunnel's first (or, from the tail, last) hop, whose speaker relays it.
+func (s *Speaker) sendTo(peer string, l *lsp, m *Message) {
+	if !s.direct(peer) {
+		t, next := s.tunnel(s.name, peer), ""
+		if t != nil {
+			next = t.downstream
+		} else if t = s.tunnel(peer, s.name); t != nil {
+			next = t.upstream
+		}
+		if next == "" {
+			return
+		}
+		m.Route = s.routeIDs(l.route)
+		peer = next
+	}
+	s.sendWhenUp(peer, m)
 }
 
 func (s *Speaker) handleLabelMsg(peer string, m *Message) {
@@ -343,7 +418,7 @@ func (s *Speaker) sessionUp(peer string) {
 	}
 	// Re-signal ingress LSPs that lost their path while the cluster was
 	// partitioned and could not be rerouted.
-	for _, base := range s.sortedBases() {
+	for _, base := range sortedKeys(s.byBase) {
 		l := s.byBase[base]
 		if !l.mapped && !s.inFlight(l) {
 			s.resignal(l, te.LinkKey{})
@@ -357,12 +432,7 @@ func (s *Speaker) sessionDown(peer string) {
 		s.OnSessionDown(peer)
 	}
 	// Tear every LSP crossing the dead session, deterministically.
-	ids := make([]string, 0, len(s.lsps))
-	for id := range s.lsps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(s.lsps) {
 		l, ok := s.lsps[id]
 		if !ok {
 			continue // removed by an earlier teardown in this loop
@@ -415,7 +485,7 @@ func (s *Speaker) maintain() {
 	if s.stopped || (s.cfg.until > 0 && s.clock.Now() >= s.cfg.until) {
 		return
 	}
-	for _, base := range s.sortedBases() {
+	for _, base := range sortedKeys(s.byBase) {
 		l := s.byBase[base]
 		if !l.mapped && !s.inFlight(l) {
 			s.resignal(l, te.LinkKey{})
@@ -452,15 +522,6 @@ func (s *Speaker) inFlight(l *lsp) bool {
 	return live && !l.mapped
 }
 
-func (s *Speaker) sortedBases() []string {
-	out := make([]string, 0, len(s.byBase))
-	for b := range s.byBase {
-		out = append(out, b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ---- ingress API ----
 
 // Setup establishes an LSP from this node along req.Path (which must
@@ -475,18 +536,7 @@ func (s *Speaker) Setup(req ldp.SetupRequest, done func(error)) error {
 	if _, dup := s.byBase[req.ID]; dup {
 		return fmt.Errorf("signaling: duplicate LSP id %q", req.ID)
 	}
-	l := &lsp{
-		id:         req.ID + "#1",
-		base:       req.ID,
-		gen:        1,
-		fec:        req.FEC,
-		cos:        req.CoS,
-		php:        req.PHP,
-		bandwidth:  req.Bandwidth,
-		route:      append([]string(nil), req.Path...),
-		downstream: req.Path[1],
-		done:       done,
-	}
+	l := generation(req, 1, done)
 	// A refused setup leaves nothing behind: the id stays free and the
 	// maintenance sweep has no base to re-signal.
 	if err := s.signal(l); err != nil {
@@ -494,6 +544,23 @@ func (s *Speaker) Setup(req ldp.SetupRequest, done func(error)) error {
 	}
 	s.byBase[l.base] = l
 	return nil
+}
+
+// generation builds generation gen of an ingress LSP from its request.
+func generation(req ldp.SetupRequest, gen int, done func(error)) *lsp {
+	return &lsp{
+		id:         req.ID + "#" + strconv.Itoa(gen),
+		base:       req.ID,
+		gen:        gen,
+		fec:        req.FEC,
+		cos:        req.CoS,
+		php:        req.PHP,
+		tunnel:     req.Tunnel,
+		bandwidth:  req.Bandwidth,
+		route:      append([]string(nil), req.Path...),
+		downstream: req.Path[1],
+		done:       done,
+	}
 }
 
 // signal reserves the local segment and sends the label request for an
@@ -534,18 +601,21 @@ func (s *Speaker) scheduleSetupCheck(l *lsp) {
 	})
 }
 
+// sendRequest sends l's label request downstream, from the ingress or
+// forwarded by a transit node.
 func (s *Speaker) sendRequest(l *lsp) {
 	m := Message{
 		Type:      MsgLabelRequest,
 		Src:       s.self,
 		PHP:       l.php,
+		tunnel:    l.tunnel,
 		FEC:       l.fec,
 		CoS:       l.cos,
 		Bandwidth: l.bandwidth,
 		Route:     s.routeIDs(l.route),
 	}
 	m.SetID(l.id)
-	s.sendWhenUp(l.downstream, &m)
+	s.sendTo(l.downstream, l, &m)
 }
 
 func (s *Speaker) routeIDs(route []string) []transport.NodeID {
@@ -570,7 +640,7 @@ func (s *Speaker) RequestReroute(base string, avoidA, avoidB string) error {
 		s.reroute(l, te.LinkKey{From: avoidA, To: avoidB}, true)
 		return nil
 	}
-	for _, id := range s.sortedLSPIDs() {
+	for _, id := range sortedKeys(s.lsps) {
 		l := s.lsps[id]
 		if l.base != base || l.upstream == "" {
 			continue
@@ -578,19 +648,10 @@ func (s *Speaker) RequestReroute(base string, avoidA, avoidB string) error {
 		m := Message{Type: MsgReroute, Src: s.self,
 			Avoid: [2]transport.NodeID{s.ids[avoidA], s.ids[avoidB]}}
 		m.SetID(l.base)
-		s.sendWhenUp(l.upstream, &m)
+		s.sendTo(l.upstream, l, &m)
 		return nil
 	}
 	return fmt.Errorf("signaling: %s: no LSP %q crosses this node", s.name, base)
-}
-
-func (s *Speaker) sortedLSPIDs() []string {
-	out := make([]string, 0, len(s.lsps))
-	for id := range s.lsps {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---- message handlers ----
@@ -611,7 +672,7 @@ func (s *Speaker) handleRequest(m *Message) {
 				delete(s.lsps, id)
 				return
 			}
-			s.sendRequest2(l)
+			s.sendRequest(l)
 		}
 		return
 	}
@@ -635,6 +696,7 @@ func (s *Speaker) handleRequest(m *Message) {
 		fec:       m.FEC,
 		cos:       m.CoS,
 		php:       m.PHP,
+		tunnel:    m.tunnel,
 		bandwidth: m.Bandwidth,
 		route:     route,
 		upstream:  route[idx-1],
@@ -644,14 +706,16 @@ func (s *Speaker) handleRequest(m *Message) {
 	}
 	if l.egress() {
 		s.lsps[id] = l
-		// The egress delivers the FEC's traffic locally. Build-time LSPs
-		// get this binding from the scenario loader; a runtime-provisioned
-		// LSP's destination was never in the file, so bind it here
-		// (idempotent when both happen).
-		s.r.AddLocal(l.fec.Dst)
-		if l.php {
+		// The egress delivers the FEC's traffic locally (idempotent when
+		// the scenario loader bound it too). A tunnel tail delivers
+		// nothing: its pop re-examines the label the tunnel carried.
+		if !l.tunnel {
+			s.r.AddLocal(l.fec.Dst)
+		}
+		if l.php && s.direct(l.upstream) {
 			// With PHP the egress receives unlabelled packets: advertise
-			// implicit null and install nothing.
+			// implicit null and install nothing. Not across a tunnel hop,
+			// whose head must push onto a label.
 			l.inLabel = label.ImplicitNull
 		} else {
 			var err error
@@ -674,8 +738,15 @@ func (s *Speaker) handleRequest(m *Message) {
 		s.sendError(l, ErrCodeNoRoute, te.LinkKey{From: s.name, To: l.downstream})
 		return
 	}
-	// Transit: admission-control the outgoing segment, then forward.
-	if l.bandwidth > 0 {
+	// A hop that is not a link rides the tunnel from here to the next
+	// hop, which must be established.
+	if !s.direct(l.downstream) && s.tunnel(s.name, l.downstream) == nil {
+		s.sendError(l, ErrCodeNoRoute, te.LinkKey{})
+		return
+	}
+	// Transit: admission-control the outgoing segment (a tunnel hop
+	// reserved its bandwidth as the tunnel), then forward.
+	if l.bandwidth > 0 && s.direct(l.downstream) {
 		if err := s.topo.Reserve([]string{s.name, l.downstream}, l.bandwidth); err != nil {
 			s.sendError(l, ErrCodeNoBandwidth, te.LinkKey{})
 			return
@@ -683,7 +754,7 @@ func (s *Speaker) handleRequest(m *Message) {
 		l.reserved = true
 	}
 	s.lsps[id] = l
-	s.sendRequest2(l)
+	s.sendRequest(l)
 }
 
 // deadToward reports whether the session to peer was operational once
@@ -692,22 +763,6 @@ func (s *Speaker) handleRequest(m *Message) {
 func (s *Speaker) deadToward(peer string) bool {
 	sess, ok := s.sessions[peer]
 	return ok && sess.Dead()
-}
-
-// sendRequest2 forwards a transit node's copy of the request
-// downstream.
-func (s *Speaker) sendRequest2(l *lsp) {
-	m := Message{
-		Type:      MsgLabelRequest,
-		Src:       s.self,
-		PHP:       l.php,
-		FEC:       l.fec,
-		CoS:       l.cos,
-		Bandwidth: l.bandwidth,
-		Route:     s.routeIDs(l.route),
-	}
-	m.SetID(l.id)
-	s.sendWhenUp(l.downstream, &m)
 }
 
 func (s *Speaker) sendMapping(l *lsp) {
@@ -722,7 +777,7 @@ func (s *Speaker) sendMapping(l *lsp) {
 	}
 	m := Message{Type: MsgLabelMapping, Src: s.self, Label: l.inLabel}
 	m.SetID(l.id)
-	s.sendWhenUp(l.upstream, &m)
+	s.sendTo(l.upstream, l, &m)
 }
 
 func (s *Speaker) handleMapping(peer string, m *Message) {
@@ -737,6 +792,24 @@ func (s *Speaker) handleMapping(peer string, m *Message) {
 		s.completeIngress(l)
 		return
 	}
+	n := swmpls.NHLFE{NextHop: l.downstream, Op: label.OpSwap, PushLabels: []label.Label{m.Label}}
+	if m.Label == label.ImplicitNull {
+		// Penultimate hop of a PHP LSP: pop here, egress sees IP.
+		n = swmpls.NHLFE{NextHop: l.downstream, Op: label.OpPop}
+	}
+	if !s.direct(l.downstream) {
+		// Tunnel head: the label crosses the tunnel unchanged, so this
+		// hop keys on the tail's label and pushes the tunnel's first
+		// label on top. The tail allocated it from its own block, which
+		// no other node allocates from.
+		t := s.tunnel(s.name, l.downstream)
+		if t == nil || !t.mapped {
+			s.refuse(l)
+			return
+		}
+		l.inLabel = m.Label
+		n = swmpls.NHLFE{NextHop: t.downstream, Op: label.OpPush, PushLabels: []label.Label{t.outLabel}}
+	}
 	if l.inLabel == 0 {
 		var err error
 		if l.inLabel, err = s.allocLabel(); err != nil {
@@ -744,13 +817,8 @@ func (s *Speaker) handleMapping(peer string, m *Message) {
 			return
 		}
 	}
-	n := swmpls.NHLFE{NextHop: l.downstream, Op: label.OpSwap, PushLabels: []label.Label{m.Label}}
-	if m.Label == label.ImplicitNull {
-		// Penultimate hop of a PHP LSP: pop here, egress sees IP.
-		n = swmpls.NHLFE{NextHop: l.downstream, Op: label.OpPop}
-	}
 	if err := s.r.InstallILM(l.inLabel, n); err != nil {
-		s.sendError(l, ErrCodeBadRequest, te.LinkKey{})
+		s.refuse(l)
 		return
 	}
 	l.ilmInstalled = true
@@ -764,17 +832,20 @@ func (s *Speaker) completeIngress(l *lsp) {
 	if l.mapped {
 		return // duplicate mapping retransmission
 	}
-	n := swmpls.NHLFE{
-		NextHop:    l.downstream,
-		Op:         label.OpPush,
-		PushLabels: []label.Label{l.outLabel},
-		CoS:        l.cos,
+	if !l.tunnel { // a tunnel head forwards only what rides it
+		n := swmpls.NHLFE{
+			NextHop:    l.downstream,
+			Op:         label.OpPush,
+			PushLabels: []label.Label{l.outLabel},
+			CoS:        l.cos,
+		}
+		if err := s.r.InstallFEC(l.fec.Dst, l.fec.PrefixLen, n); err != nil {
+			s.sendRelease(l) // the hops below have mapped: free them
+			s.fail(l, fmt.Errorf("signaling: installing FTN on %s: %w", s.name, err))
+			return
+		}
+		l.ftnInstalled = true
 	}
-	if err := s.r.InstallFEC(l.fec.Dst, l.fec.PrefixLen, n); err != nil {
-		s.fail(l, fmt.Errorf("signaling: installing FTN on %s: %w", s.name, err))
-		return
-	}
-	l.ftnInstalled = true
 	l.mapped = true
 	l.attempts = 0
 	if l.gen > 1 {
@@ -815,7 +886,7 @@ func (s *Speaker) sendRelease(l *lsp) {
 	}
 	m := Message{Type: MsgLabelRelease, Src: s.self}
 	m.SetID(l.id)
-	s.sendWhenUp(l.downstream, &m)
+	s.sendTo(l.downstream, l, &m)
 }
 
 func (s *Speaker) sendWithdraw(l *lsp, avoid te.LinkKey) {
@@ -825,7 +896,7 @@ func (s *Speaker) sendWithdraw(l *lsp, avoid te.LinkKey) {
 	m := Message{Type: MsgLabelWithdraw, Src: s.self, Label: l.inLabel,
 		Avoid: [2]transport.NodeID{s.ids[avoid.From], s.ids[avoid.To]}}
 	m.SetID(l.id)
-	s.sendWhenUp(l.upstream, &m)
+	s.sendTo(l.upstream, l, &m)
 }
 
 // sendError rejects an LSP upstream. A non-zero avoid names the link
@@ -840,7 +911,7 @@ func (s *Speaker) sendError(l *lsp, code uint8, avoid te.LinkKey) {
 		m.Avoid = [2]transport.NodeID{s.ids[avoid.From], s.ids[avoid.To]}
 	}
 	m.SetID(l.id)
-	s.sendWhenUp(l.upstream, &m)
+	s.sendTo(l.upstream, l, &m)
 }
 
 func (s *Speaker) handleWithdraw(peer string, m *Message) {
@@ -850,12 +921,17 @@ func (s *Speaker) handleWithdraw(peer string, m *Message) {
 	if !ok || peer != l.downstream {
 		return
 	}
-	var avoid te.LinkKey
-	if (m.Avoid[0] != 0 || m.Avoid[1] != 0) &&
-		int(m.Avoid[0]) < len(s.names) && int(m.Avoid[1]) < len(s.names) {
-		avoid = te.LinkKey{From: s.names[m.Avoid[0]], To: s.names[m.Avoid[1]]}
+	s.lostDownstream(l, s.avoidOf(m))
+}
+
+// avoidOf decodes the link a message names, or the zero key when it
+// names none (or an unknown node).
+func (s *Speaker) avoidOf(m *Message) te.LinkKey {
+	a, b := int(m.Avoid[0]), int(m.Avoid[1])
+	if a == 0 && b == 0 || a >= len(s.names) || b >= len(s.names) {
+		return te.LinkKey{}
 	}
-	s.lostDownstream(l, avoid)
+	return te.LinkKey{From: s.names[a], To: s.names[b]}
 }
 
 func (s *Speaker) handleRelease(peer string, m *Message) {
@@ -869,13 +945,10 @@ func (s *Speaker) handleRelease(peer string, m *Message) {
 }
 
 func (s *Speaker) handleReroute(m *Message) {
-	base := m.IDString()
-	avoidA, avoidB := "", ""
-	if int(m.Avoid[0]) < len(s.names) && int(m.Avoid[1]) < len(s.names) {
-		avoidA, avoidB = s.names[m.Avoid[0]], s.names[m.Avoid[1]]
-	}
 	// Best effort: an unknown base just means the LSP is already gone.
-	_ = s.RequestReroute(base, avoidA, avoidB)
+	if avoid := s.avoidOf(m); avoid != (te.LinkKey{}) {
+		_ = s.RequestReroute(m.IDString(), avoid.From, avoid.To)
+	}
 }
 
 func (s *Speaker) handleError(m *Message) {
@@ -883,11 +956,7 @@ func (s *Speaker) handleError(m *Message) {
 	if !ok {
 		return
 	}
-	var avoid te.LinkKey
-	if (m.Avoid[0] != 0 || m.Avoid[1] != 0) &&
-		int(m.Avoid[0]) < len(s.names) && int(m.Avoid[1]) < len(s.names) {
-		avoid = te.LinkKey{From: s.names[m.Avoid[0]], To: s.names[m.Avoid[1]]}
-	}
+	avoid := s.avoidOf(m)
 	if l.ingress() {
 		s.tearLocal(l, false)
 		delete(s.lsps, l.id)
@@ -982,19 +1051,10 @@ func (s *Speaker) reroute(old *lsp, avoid te.LinkKey, makeBeforeBreak bool) {
 		s.retryReroute(old, avoid, makeBeforeBreak)
 		return
 	}
-	nl := &lsp{
-		id:         fmt.Sprintf("%s#%d", old.base, old.gen+1),
-		base:       old.base,
-		gen:        old.gen + 1,
-		fec:        old.fec,
-		cos:        old.cos,
-		php:        old.php && len(path) >= 3,
-		bandwidth:  old.bandwidth,
-		route:      path,
-		downstream: path[1],
-		attempts:   old.attempts,
-		done:       old.done, // still pending when an in-flight setup reroutes
-	}
+	// old.done is still pending when an in-flight setup reroutes.
+	nl := generation(ldp.SetupRequest{ID: old.base, FEC: old.fec, Path: path, Bandwidth: old.bandwidth,
+		PHP: old.php && len(path) >= 3, CoS: old.cos, Tunnel: old.tunnel}, old.gen+1, old.done)
+	nl.attempts = old.attempts
 	old.done = nil
 	if makeBeforeBreak {
 		if _, live := s.lsps[old.id]; live {
@@ -1036,10 +1096,16 @@ func (s *Speaker) resignal(l *lsp, avoid te.LinkKey) {
 }
 
 // fail reports terminal failure of an ingress LSP generation. The base
-// entry stays registered so a later session-up can resignal it.
+// entry stays registered so a later session-up can resignal it. A failed
+// make-before-break generation leaves the one it was to replace, still
+// forwarding, as the current generation.
 func (s *Speaker) fail(l *lsp, err error) {
 	s.tearLocal(l, false)
 	delete(s.lsps, l.id)
+	if prev := l.prev; prev != nil && s.byBase[l.base] == l {
+		l.prev = nil
+		s.byBase[l.base] = prev
+	}
 	if l.done != nil {
 		done := l.done
 		l.done = nil
@@ -1079,10 +1145,14 @@ func (s *Speaker) refuse(l *lsp) {
 	delete(s.lsps, l.id)
 }
 
-// allocLabel hands out the next label, failing once the 20-bit label
-// space is used up.
+// allocLabel hands out the next label of this node's block. Node i of
+// the name table owns [16 + i·B, 16 + (i+1)·B) with B = (2^20 - 16) /
+// len(names), so no two nodes ever allocate the same label: a label can
+// cross a tunnel unchanged and still be unambiguous at the tunnel head,
+// which keys on it beside its own. The allocator refuses past the
+// block's end.
 func (s *Speaker) allocLabel() (label.Label, error) {
-	if s.next > label.MaxLabel {
+	if s.next >= s.end {
 		return 0, label.ErrLabelSpaceExhausted
 	}
 	l := s.next

@@ -458,10 +458,11 @@ func TestSpeakerSetupValidation(t *testing.T) {
 }
 
 // TestSpeakerRefusesOnceLabelSpaceIsExhausted seeds one node's label
-// allocator two short of the 20-bit limit and signals three LSPs
-// through it: the first two take the last two labels, the third is
-// refused cleanly — the ingress reports the failure, no node keeps
-// state for it, and every installed label still packs onto the wire.
+// allocator two short of its block's end and signals three LSPs
+// through it: the first two take the block's last two labels, the
+// third is refused cleanly — the ingress reports the failure, no node
+// keeps state for it, and every installed label still packs onto the
+// wire.
 func TestSpeakerRefusesOnceLabelSpaceIsExhausted(t *testing.T) {
 	for _, seeded := range []string{"b", "d"} { // transit, egress
 		t.Run(seeded, func(t *testing.T) {
@@ -470,7 +471,7 @@ func TestSpeakerRefusesOnceLabelSpaceIsExhausted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			speakers[seeded].next = label.MaxLabel - 1
+			speakers[seeded].next = speakers[seeded].end - 2
 			net.Sim.RunUntil(0.3)
 			var setupErrs [3]error
 			for i := range setupErrs {

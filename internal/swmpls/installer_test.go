@@ -7,7 +7,7 @@ import (
 	"embeddedmpls/internal/packet"
 )
 
-// TestInstallerAliases covers the ldp.Installer-shaped surface directly.
+// TestInstallerAliases covers the table programming surface directly.
 func TestInstallerAliases(t *testing.T) {
 	f := New()
 	dst := packet.AddrFrom(10, 0, 0, 1)

@@ -257,8 +257,8 @@ func (f *Forwarder) UnmapFEC(dst packet.Addr, prefixLen int) bool {
 }
 
 // InstallFEC, InstallILM, RemoveILM and RemoveFEC mirror the embedded
-// device's table programming surface (the ldp.Installer contract), so a
-// label distribution manager can drive software and hardware routers
+// device's table programming surface (router.DataPlane declares it), so
+// the signaling speaker drives software and hardware routers
 // interchangeably.
 
 // InstallFEC is MapFEC under the installer contract.

@@ -9,28 +9,37 @@ import (
 	"embeddedmpls/internal/netsim"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
+	"embeddedmpls/internal/signaling"
 	"embeddedmpls/internal/telemetry"
 )
 
 var dst = packet.AddrFrom(10, 0, 0, 5)
 
-// twoNode builds src--dst routers with an LSP between them and a
-// collector attached at the destination.
-func twoNode(t *testing.T, rateBPS float64) (*router.Network, *Collector) {
+// twoNode builds src--dst routers with a signalled LSP between them
+// (the speakers stopped, so the link carries only traffic from here on)
+// and a collector attached at the destination.
+func twoNode(t *testing.T, rateBPS float64, queueCap int) (*router.Network, *Collector) {
 	t.Helper()
 	n, err := router.Build(
 		[]router.NodeSpec{{Name: "src"}, {Name: "dst"}},
-		[]router.LinkSpec{{A: "src", B: "dst", RateBPS: rateBPS, Delay: 0.001, QueueCap: 512}},
+		[]router.LinkSpec{{A: "src", B: "dst", RateBPS: rateBPS, Delay: 0.001, QueueCap: queueCap}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
+	speakers, err := signaling.Deploy(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := signaling.Establish(n, speakers, ldp.SetupRequest{
 		ID:   "lsp",
 		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
 		Path: []string{"src", "dst"},
 	}); err != nil {
 		t.Fatal(err)
+	}
+	for _, sp := range speakers {
+		sp.Stop()
 	}
 	c := NewCollector(n.Sim)
 	c.Attach(n.Router("dst"))
@@ -38,12 +47,13 @@ func twoNode(t *testing.T, rateBPS float64) (*router.Network, *Collector) {
 }
 
 func TestCBRPacketCount(t *testing.T) {
-	n, c := twoNode(t, 10e6)
-	g := CBR{Flow: Flow{ID: 1, Dst: dst}, Size: 100, Interval: 0.010, Start: 0, Stop: 0.995}
+	n, c := twoNode(t, 10e6, 512)
+	t0 := n.Sim.Now()
+	g := CBR{Flow: Flow{ID: 1, Dst: dst}, Size: 100, Interval: 0.010, Start: 0, Stop: t0 + 0.995}
 	g.Install(n.Sim, n.Router("src"), c)
 	n.Sim.Run()
 	f := c.Flow(1)
-	// Ticks at 0, 0.01, ..., 0.99: 100 packets.
+	// Ticks at t0, t0+0.01, ..., t0+0.99: 100 packets.
 	if f.Sent.Events != 100 {
 		t.Errorf("sent = %d, want 100", f.Sent.Events)
 	}
@@ -73,7 +83,7 @@ func TestVoIPPreset(t *testing.T) {
 func TestPoissonRateAndDeterminism(t *testing.T) {
 	counts := make([]uint64, 2)
 	for trial := range counts {
-		n, c := twoNode(t, 100e6)
+		n, c := twoNode(t, 100e6, 512)
 		g := Poisson{Flow: Flow{ID: 3, Dst: dst}, Size: 100, RatePPS: 1000, Stop: 2, Seed: 7}
 		g.Install(n.Sim, n.Router("src"), c)
 		n.Sim.Run()
@@ -89,7 +99,7 @@ func TestPoissonRateAndDeterminism(t *testing.T) {
 }
 
 func TestOnOffDutyCycle(t *testing.T) {
-	n, c := twoNode(t, 100e6)
+	n, c := twoNode(t, 100e6, 512)
 	// 1 Mbps peak, 100 ms on / 100 ms off over 1s -> ~0.5 Mbit total.
 	g := OnOff{Flow: Flow{ID: 4, Dst: dst}, Size: 488, PeakBPS: 1e6, On: 0.1, Off: 0.1, Stop: 0.999}
 	g.Install(n.Sim, n.Router("src"), c)
@@ -102,7 +112,7 @@ func TestOnOffDutyCycle(t *testing.T) {
 }
 
 func TestBulkRate(t *testing.T) {
-	n, c := twoNode(t, 100e6)
+	n, c := twoNode(t, 100e6, 512)
 	g := Bulk{Flow: Flow{ID: 5, Dst: dst}, Size: 1188, RateBPS: 8e6, Stop: 0.9999}
 	g.Install(n.Sim, n.Router("src"), c)
 	n.Sim.Run()
@@ -118,22 +128,7 @@ func TestCongestionCausesLossAndQueueing(t *testing.T) {
 	// 2 Mbps of offered load into a 1 Mbps link with a shallow queue:
 	// a large share must be lost and latency must blow up relative to an
 	// idle path.
-	n, err := router.Build(
-		[]router.NodeSpec{{Name: "src"}, {Name: "dst"}},
-		[]router.LinkSpec{{A: "src", B: "dst", RateBPS: 1e6, Delay: 0.001, QueueCap: 16}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID:   "lsp",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"src", "dst"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollector(n.Sim)
-	c.Attach(n.Router("dst"))
+	n, c := twoNode(t, 1e6, 16)
 	g := Bulk{Flow: Flow{ID: 6, Dst: dst}, Size: 988, RateBPS: 2e6, Stop: 0.999}
 	g.Install(n.Sim, n.Router("src"), c)
 	n.Sim.Run()
@@ -194,7 +189,7 @@ func TestDescribeAll(t *testing.T) {
 }
 
 func TestSeriesTracking(t *testing.T) {
-	n, _ := twoNode(t, 10e6)
+	n, _ := twoNode(t, 10e6, 512)
 	c := NewCollector(n.Sim)
 	c.TrackSeries(0.1)
 	c.Attach(n.Router("dst"))
@@ -231,22 +226,7 @@ func TestSeriesTracking(t *testing.T) {
 // Sent != Delivered + Dropped. With the collector watching the link,
 // every offered packet is attributed to its flow exactly once.
 func TestQueueFullDropsVisibleToFlowStats(t *testing.T) {
-	n, err := router.Build(
-		[]router.NodeSpec{{Name: "src"}, {Name: "dst"}},
-		[]router.LinkSpec{{A: "src", B: "dst", RateBPS: 1e6, Delay: 0.001, QueueCap: 8}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.LDP.SetupLSP(ldp.SetupRequest{
-		ID:   "lsp",
-		FEC:  ldp.FEC{Dst: dst, PrefixLen: 32},
-		Path: []string{"src", "dst"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollector(n.Sim)
-	c.Attach(n.Router("dst"))
+	n, c := twoNode(t, 1e6, 8)
 	c.WatchRouter(n.Router("src"))
 
 	// 4 Mbps into a 1 Mbps link with an 8-packet queue: heavy loss.
