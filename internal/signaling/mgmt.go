@@ -1,7 +1,6 @@
 package signaling
 
 import (
-	"errors"
 	"fmt"
 
 	"embeddedmpls/internal/label"
@@ -38,10 +37,6 @@ type SessionInfo struct {
 	State string `json:"state"`
 	Up    bool   `json:"up"`
 }
-
-// errTunnelInUse refuses to tear down or re-provision a tunnel another
-// LSP rides: its riders push the tunnel's first label at the head.
-var errTunnelInUse = errors.New("signaling: tunnel is used by another LSP")
 
 // validateSetup checks the parts of a setup request that do not depend
 // on existing state: Setup and Provision share it, but only Setup
@@ -90,7 +85,8 @@ func (s *Speaker) validateSetup(req ldp.SetupRequest) error {
 }
 
 // ridden returns an error when an LSP through this node rides the
-// tunnel l heads.
+// tunnel l heads: tearing the tunnel down or re-provisioning it would
+// strand the riders, whose entries here push its first label.
 func (s *Speaker) ridden(l *lsp) error {
 	tail := l.route[len(l.route)-1]
 	if !l.tunnel || s.direct(tail) {
@@ -98,7 +94,7 @@ func (s *Speaker) ridden(l *lsp) error {
 	}
 	for _, id := range sortedKeys(s.lsps) {
 		if r := s.lsps[id]; !r.tunnel && r.downstream == tail {
-			return fmt.Errorf("%w: %q rides %q", errTunnelInUse, r.base, l.base)
+			return fmt.Errorf("signaling: tunnel %q is used by another LSP: %q rides it", l.base, r.base)
 		}
 	}
 	return nil
