@@ -58,10 +58,10 @@ func main() {
 	check(err)
 	net.Sim.RunUntil(asked + 0.05)
 
-	fmt.Println("\nLSP state per node (labels from per-node label spaces):")
+	fmt.Println("\nLSP state per node (labels from per-node label blocks):")
 	for _, name := range path {
 		for _, l := range speakers[name].List() {
-			fmt.Printf("  %s  %-7s  in=%-3d out=%-3d %v\n", name, l.Role, l.InLabel, l.OutLabel, l.FEC)
+			fmt.Printf("  %s  %-7s  in=%-6d out=%-6d %v\n", name, l.Role, l.InLabel, l.OutLabel, l.FEC)
 		}
 	}
 
