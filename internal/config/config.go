@@ -462,8 +462,14 @@ type Built struct {
 // distributed node takes too. It then stops the speakers' ticking, so
 // the run is a static network with no keepalives beside the traffic,
 // wires collectors at every LSP egress and installs the traffic
-// generators. Flow windows count from the moment the LSPs are up.
+// generators. Flow windows count from the moment the LSPs are up. The
+// signaling runs in simulated time, so every link must be simulated.
 func (s *Scenario) Build() (*Built, error) {
+	for _, l := range s.Links {
+		if l.Transport == router.TransportUDP {
+			return nil, fmt.Errorf("%w: link %s-%s: an in-process build signals in simulated time; run udp links with BuildNode", ErrValidation, l.A, l.B)
+		}
+	}
 	nodes, links := s.specs()
 	net, err := router.Build(nodes, links)
 	if err != nil {

@@ -139,6 +139,11 @@ func TestBuildFailures(t *testing.T) {
 	if _, err := s2.Build(); !errors.Is(err, ErrValidation) {
 		t.Errorf("bad flow window: %v", err)
 	}
+	// A socket link cannot signal in simulated time.
+	s2.Links[0].Transport = "udp"
+	if _, err := s2.Build(); !errors.Is(err, ErrValidation) {
+		t.Errorf("in-process build over a udp link: %v", err)
+	}
 	// Generator knobs missing.
 	for _, kind := range []string{"cbr", "bulk", "poisson", "onoff"} {
 		sc := &Scenario{DurationS: 1}
@@ -349,7 +354,7 @@ func TestBuildNodeGuardWired(t *testing.T) {
 	}
 }
 
-// TestBuildNodeRejectsTunnels: tunnels need the in-process manager.
+// TestBuildNodeRejectsTunnels: tunnels are signalled in process only.
 func TestBuildNodeRejectsTunnels(t *testing.T) {
 	s, err := Load(strings.NewReader(distributedLine(loopbackAddrs(t, 3))))
 	if err != nil {

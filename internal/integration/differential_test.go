@@ -133,10 +133,9 @@ func runDifferentialSim(t *testing.T, js string) wireResult {
 	defer b.Net.Close()
 	var drops telemetry.DropCounters
 	b.Net.SetTelemetry(telemetry.Sink{Drops: &drops})
-	// The in-process build has no guard section handling (and no
-	// signaling speaker to advertise labels to a spoof filter), so the
-	// TTL floor — the one check the scenario's traffic runs into — is
-	// armed here.
+	// The in-process build has no guard section handling (its speakers
+	// advertise labels to no spoof filter), so the TTL floor — the one
+	// check the scenario's traffic runs into — is armed here.
 	b.Net.SetGuard(guard.New(
 		guard.WithDefaultPolicy(guard.Policy{MinTTL: guardTTLFloor}),
 		guard.WithDropFunc(b.Net.Drop),

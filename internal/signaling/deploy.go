@@ -43,7 +43,9 @@ const establishStep = 0.001
 // Tunnels go first and are established before any other request is
 // sent, so an LSP riding one finds it in place at its head. The
 // speakers keep running; a static scenario calls Stop on them next, so
-// no keepalive shares the links with its traffic.
+// no keepalive shares the links with its traffic. The links must be
+// simulated: over sockets the sessions run in wall-clock time, and the
+// caller signals with Setup while RunReal drives the network.
 func Establish(net *router.Network, speakers map[string]*Speaker, reqs ...ldp.SetupRequest) error {
 	var tunnels, lsps []ldp.SetupRequest
 	for _, req := range reqs {
