@@ -11,12 +11,14 @@ import (
 	"strings"
 	"testing"
 
+	"embeddedmpls/internal/infobase"
 	"embeddedmpls/internal/label"
 	"embeddedmpls/internal/ldp"
 	"embeddedmpls/internal/lsm"
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/router"
 	"embeddedmpls/internal/signaling"
+	"embeddedmpls/internal/swmpls"
 	"embeddedmpls/internal/te"
 	"embeddedmpls/internal/telemetry"
 )
@@ -383,19 +385,26 @@ func TestLSPLookup(t *testing.T) {
 // TestSetupInstallFailureReleasesBandwidth refuses a 1 Mbps setup along
 // a-b-d at each point in turn — the ingress's own segment, the transit's
 // segment, the ingress FTN (the device's level-1 memory holds /32 FECs
-// only) — and checks that every reservation returns to its value before
-// the call and no hop keeps state. The id then re-provisions at 9 Mbps,
-// which a leaked megabit would not leave room for.
+// only), the transit's full information base — and checks that every
+// reservation returns to its value before the call and no hop keeps
+// state. The id then re-provisions at 9 Mbps, which a leaked megabit
+// would not leave room for.
 func TestSetupInstallFailureReleasesBandwidth(t *testing.T) {
-	for i, refuse := range []func(*router.Network, *ldp.SetupRequest){
-		func(net *router.Network, _ *ldp.SetupRequest) { must(t, net.Topo.Reserve([]string{"a", "b"}, 9.5e6)) },
-		func(net *router.Network, _ *ldp.SetupRequest) { must(t, net.Topo.Reserve([]string{"b", "d"}, 9.5e6)) },
-		func(_ *router.Network, req *ldp.SetupRequest) { req.FEC.PrefixLen = 24 },
-	} {
+	for i, refusal := range []struct {
+		full      []string // a segment left without room for the LSP
+		prefixLen int
+		fullIB    bool // b's information base holds no more pairs
+	}{{[]string{"a", "b"}, 32, false}, {[]string{"b", "d"}, 32, false}, {nil, 24, false}, {nil, 32, true}} {
 		t.Run(fmt.Sprint("failAt", i+1), func(t *testing.T) {
 			net, speakers := network(t, true, diamond...)
-			req := ldp.SetupRequest{ID: "l", FEC: fec, Path: []string{"a", "b", "d"}, Bandwidth: 1e6}
-			refuse(net, &req)
+			if refusal.full != nil {
+				must(t, net.Topo.Reserve(refusal.full, 9.5e6))
+			}
+			filler := label.Label(100)
+			for ; refusal.fullIB && filler < 100+infobase.EntriesPerLevel; filler++ {
+				must(t, net.Router("b").InstallILM(filler, swmpls.NHLFE{Op: label.OpPop}))
+			}
+			req := ldp.SetupRequest{ID: "l", FEC: ldp.FEC{Dst: dst, PrefixLen: refusal.prefixLen}, Path: []string{"a", "b", "d"}, Bandwidth: 1e6}
 			before := reservations(net)
 			if err := signaling.Establish(net, speakers, req); err == nil {
 				t.Fatal("setup succeeded")
@@ -407,10 +416,14 @@ func TestSetupInstallFailureReleasesBandwidth(t *testing.T) {
 			if l := leftovers(speakers); len(l) != 0 {
 				t.Errorf("state left: %+v", l)
 			}
-			for _, seg := range [][]string{{"a", "b"}, {"b", "d"}} {
-				_ = net.Topo.Release(seg, 9.5e6)
+			if refusal.full != nil {
+				must(t, net.Topo.Release(refusal.full, 9.5e6))
 			}
-			must(t, provision(net, speakers, ldp.SetupRequest{ID: "l", FEC: fec, Path: []string{"a", "b", "d"}, Bandwidth: 9e6}))
+			for l := label.Label(100); l < filler; l++ {
+				net.Router("b").RemoveILM(l)
+			}
+			req.FEC, req.Bandwidth = fec, 9e6
+			must(t, provision(net, speakers, req))
 		})
 	}
 }
@@ -421,23 +434,23 @@ func TestSetupInstallFailureReleasesBandwidth(t *testing.T) {
 // no link — and checks that the old path, its reservations and its
 // forwarding survive; a clean re-provision then moves everything.
 func TestRerouteInstallFailureKeepsOldPath(t *testing.T) {
-	for i, refuse := range []func(*router.Network) []string{
-		func(net *router.Network) []string {
-			must(t, net.Topo.Reserve([]string{"a", "c"}, 9.5e6))
-			return []string{"a", "c", "d"}
-		},
-		func(net *router.Network) []string {
-			must(t, net.Topo.Reserve([]string{"c", "d"}, 9.5e6))
-			return []string{"a", "c", "d"}
-		},
-		func(*router.Network) []string { return []string{"a", "c", "b", "d"} },
+	for i, refusal := range []struct {
+		full []string // a segment left without room for the LSP
+		path []string
+	}{
+		{[]string{"a", "c"}, []string{"a", "c", "d"}},
+		{[]string{"c", "d"}, []string{"a", "c", "d"}},
+		{nil, []string{"a", "c", "b", "d"}},
 	} {
 		t.Run(fmt.Sprint("failAt", i+1), func(t *testing.T) {
 			net, speakers := network(t, false, diamond...)
 			req := ldp.SetupRequest{ID: "l", FEC: fec, Path: []string{"a", "b", "d"}, Bandwidth: 1e6}
 			must(t, signaling.Establish(net, speakers, req))
+			if refusal.full != nil {
+				must(t, net.Topo.Reserve(refusal.full, 9.5e6))
+			}
 			bad := req
-			bad.Path = refuse(net)
+			bad.Path = refusal.path
 			before := reservations(net)
 			if err := provision(net, speakers, bad); err == nil {
 				t.Fatal("re-provision succeeded")
@@ -451,8 +464,8 @@ func TestRerouteInstallFailureKeepsOldPath(t *testing.T) {
 			if at, _, via := send(net, "a", dst); at != "d" || !via["b"] {
 				t.Errorf("old path broken: delivered at %q via %v", at, via)
 			}
-			for _, seg := range [][]string{{"a", "c"}, {"c", "d"}} {
-				_ = net.Topo.Release(seg, 9.5e6)
+			if refusal.full != nil {
+				must(t, net.Topo.Release(refusal.full, 9.5e6))
 			}
 			req.Path = []string{"a", "c", "d"}
 			must(t, provision(net, speakers, req))
