@@ -356,6 +356,87 @@ func TestSetupRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestSetupRefusedOnceLabelSpaceIsExhausted runs two nodes out of
+// labels. The name table is padded to 65535 nodes, so every node owns a
+// block of 16 labels: b the one just below c's, and c, last in the
+// table, the one that ends at label.MaxLabel. Sixteen PHP LSPs a-b-c
+// take every label of b's block and none of c's; sixteen LSPs b-c then
+// take c's, up to the top of the 20-bit space. Each time the
+// seventeenth is refused with no state left at any hop, and every
+// installed label still packs onto the wire.
+func TestSetupRefusedOnceLabelSpaceIsExhausted(t *testing.T) {
+	const block = 16
+	order := []string{"a", "b", "c"}
+	var nodes []router.NodeSpec
+	for _, n := range order {
+		nodes = append(nodes, router.NodeSpec{Name: n, RouterType: lsm.LER})
+	}
+	net, err := router.Build(nodes, []router.LinkSpec{
+		{A: "a", B: "b", RateBPS: 10e6, Delay: 0.0005, Metric: 1},
+		{A: "b", B: "c", RateBPS: 10e6, Delay: 0.0005, Metric: 1},
+	})
+	must(t, err)
+	names := make([]string, 0, (label.MaxLabel+1-label.FirstUnreserved)/block)
+	for len(names) < cap(names)-len(order) {
+		names = append(names, fmt.Sprint("pad", len(names)))
+	}
+	names = append(names, order...)
+	speakers := map[string]*signaling.Speaker{}
+	for _, n := range order {
+		sp, err := signaling.New(net.Router(n), net.Topo, net.Sim, names, n, signaling.WithUntil(1))
+		must(t, err)
+		speakers[n] = sp
+	}
+	for _, n := range order {
+		speakers[n].Start()
+	}
+	held := 0
+	for _, phase := range []struct {
+		node string // the node whose block runs out
+		path []string
+		php  bool
+		top  label.Label // the last label of the node's block
+	}{{"b", order, true, label.MaxLabel - block}, {"c", order[1:], false, label.MaxLabel}} {
+		var reqs []ldp.SetupRequest
+		for i := 0; i <= block; i++ {
+			id := fmt.Sprint(phase.node, i)
+			reqs = append(reqs, ldp.SetupRequest{ID: id, FEC: ldp.FEC{Dst: dst + packet.Addr(held+i), PrefixLen: 32}, Path: phase.path, PHP: phase.php})
+		}
+		must(t, signaling.Establish(net, speakers, reqs[:block]...))
+		if err := signaling.Establish(net, speakers, reqs[block]); err == nil {
+			t.Fatalf("%s: setup past the end of its block succeeded", phase.node)
+		}
+		net.Sim.RunUntil(net.Sim.Now() + 0.05)
+		held += len(phase.path) * block
+		left := leftovers(speakers)
+		for _, l := range left {
+			if l.ID == reqs[block].ID {
+				t.Errorf("refused LSP left state behind: %+v", l)
+			}
+		}
+		if len(left) != held {
+			t.Errorf("%d LSP states held, want %d", len(left), held)
+		}
+		tr, _ := net.Router(phase.node).Tables()
+		ilms := tr.ILMEntries()
+		if len(ilms) != block {
+			t.Errorf("%s holds %d ILM entries, want %d", phase.node, len(ilms), block)
+		}
+		var top label.Label
+		for _, e := range ilms {
+			top = max(top, e.In)
+			for _, l := range append([]label.Label{e.In}, e.NHLFE.PushLabels...) {
+				if _, err := (label.Entry{Label: l}).Pack(); err != nil {
+					t.Errorf("%s: installed label %d does not pack: %v", phase.node, l, err)
+				}
+			}
+		}
+		if top != phase.top {
+			t.Errorf("%s's highest label is %d, want %d", phase.node, top, phase.top)
+		}
+	}
+}
+
 func TestSetupRollsBackOnBandwidthFailure(t *testing.T) {
 	net, speakers := network(t, false, line...)
 	must(t, net.Topo.Reserve([]string{"b", "c"}, 10e6))
