@@ -80,13 +80,15 @@ sim-golden:
 # The ingress guard admits on every shard's socket goroutine with no
 # shared lock while the speaker advertises and the management plane
 # retunes, so it rides the -count=2 list, and the sink that calls it
-# (FeedTo) joins the pump regressions.
+# (FeedTo) joins the pump regressions, with the run-to-completion ones:
+# the receiver's flush on drain, Engine.Process racing Close, and the
+# clones retaining wires get.
 race:
 	go test -race ./...
 	go test -race ./internal/rtl ./internal/lsm ./internal/wave ./internal/mmio
 	go test -race -count=2 ./internal/dataplane ./internal/faults ./internal/resilience ./internal/signaling ./internal/transport ./internal/mgmt ./internal/guard
 	go test -race -count=2 -run 'FlowCache|Concurrent|Telemetry' ./internal/dataplane ./internal/infobase ./internal/swmpls
-	go test -race -count=2 -run 'Close|Distributed|Differential|Egress|FeedTo' ./internal/router ./internal/integration ./internal/dataplane
+	go test -race -count=2 -run 'Close|Distributed|Differential|Egress|FeedTo|Drain|Inline|Retain' ./internal/router ./internal/integration ./internal/dataplane ./internal/transport
 
 # Tier-1 has to be deterministic: twenty runs, plain and under the race
 # detector, of the packages whose tests cross goroutines and sockets.

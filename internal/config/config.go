@@ -71,12 +71,12 @@ type TransportSection struct {
 	// (transport.WithSysBatch); 0 keeps the transport default.
 	SysBatch int `json:"sys_batch,omitempty"`
 	// Shards, when > 1, runs each software-plane node's forwarder as a
-	// concurrent engine with that many shard workers and binds it to the
-	// wire batch-first in both directions: arrivals land on a sharded
-	// SO_REUSEPORT listener feeding pinned shard queues, and the engine's
-	// egress pump flushes staged batches straight onto the links'
-	// SendBatch path. 0 or 1 keeps the serial per-packet path. Ignored
-	// for hardware-plane nodes.
+	// concurrent engine with that many shards and binds it to the wire
+	// batch-first in both directions: each socket reader of a sharded
+	// SO_REUSEPORT listener forwards its own batches as one engine shard
+	// (Engine.Process), and the engine's egress pump flushes them
+	// straight onto the links' SendBatch path. 0 or 1 keeps the serial
+	// per-packet path. Ignored for hardware-plane nodes.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -576,8 +576,8 @@ func (s *Scenario) BuildNode(name string) (*Built, error) {
 	}
 	nodes, links := s.specs()
 	// transport.shards upgrades the local software plane to the
-	// concurrent engine, one worker per listener shard, so the kernel's
-	// SO_REUSEPORT hash demultiplexes straight into pinned shard queues.
+	// concurrent engine, one shard per listener socket, so the kernel's
+	// SO_REUSEPORT hash is the only demultiplexer in front of the shards.
 	pumped := false
 	if s.Transport.Shards > 1 {
 		for i := range nodes {

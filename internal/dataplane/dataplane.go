@@ -19,6 +19,12 @@
 // Per-flow order is preserved because a flow's packets always hash to
 // the same shard and each shard is serviced by exactly one worker over a
 // FIFO-per-class queue.
+//
+// A caller that already owns a shard's traffic — a socket reader behind
+// an SO_REUSEPORT shard — skips the queue: Process runs the worker's
+// body on the caller's goroutine and flushes the egress staging before
+// it returns (run to completion, as the paper's LSM goes from search to
+// stack update to output with no queue in between).
 package dataplane
 
 import (
@@ -154,7 +160,14 @@ func New(opts ...Option) *Engine {
 	root.SetDropCounters(drops)
 	e.table.Store(root)
 	for i := range e.shards {
-		e.shards[i] = newShard(cfg.policy, queueCap, drops)
+		s := newShard(cfg.policy, queueCap, drops)
+		// No size trigger inline: a batch leaves in one flush per next
+		// hop, so the wire gets the whole batch in one SendBatch.
+		s.inline.st = newEgressStage(s, 0)
+		if !e.noCache {
+			s.inline.fc = newFlowCache()
+		}
+		e.shards[i] = s
 	}
 	e.wg.Add(workers)
 	for i := range e.shards {
@@ -407,6 +420,81 @@ func (e *Engine) ProcessInline(p *packet.Packet) swmpls.Result {
 	return forward(e.table.Load(), p)
 }
 
+// Process forwards a batch to completion on the caller's goroutine —
+// the run-to-completion twin of a pinned Submit, for a caller that owns
+// shard `shard`'s traffic (the socket reader of an SO_REUSEPORT shard).
+// Against the current table snapshot it looks each packet up, applies
+// its label program, traces it and stages it by next hop, then flushes
+// every staging buffer through the egress sink before it returns.
+// Nothing is queued, nothing waits for a flush timer, and the engine
+// keeps no reference to a packet after the call, so the caller may
+// reuse them at once. The flow cache and staging are the shard's inline
+// set, never its queued worker's; concurrent Process calls on one shard
+// serialise on it.
+//
+// Each packet is counted into the shard's snapshot — Submitted, the
+// forwarding outcome, drop reasons, cache hits — but not into
+// WorkerBusy or BatchTime: that time belongs to the caller. Process
+// returns how many packets it forwarded: all of them, or 0 when the
+// engine is closed or shard is out of range.
+func (e *Engine) Process(shard int, ps []*packet.Packet) int {
+	if shard < 0 || shard >= len(e.shards) || len(ps) == 0 {
+		return 0
+	}
+	s := e.shards[shard]
+	in := &s.inline
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if e.closed.Load() {
+		return 0
+	}
+	sink := e.loadEgress()
+	var acc batchAcc
+	for _, p := range ps {
+		acc.submitted.Add(p.Size())
+	}
+	e.run(s, in.fc, in.st, &acc, sink, ps)
+	in.st.flushAll(sink, egressTriggerSize)
+	s.fold(&acc, false)
+	return len(ps)
+}
+
+// run is the forwarding body the queued worker and Process share: load
+// the table snapshot and trace sink once, revalidate the flow cache
+// against the snapshot, then resolve, account, trace and stage every
+// packet of the batch.
+func (e *Engine) run(s *shard, fc *flowCache, st *egressStage, acc *batchAcc, sink Egress, batch []*packet.Packet) {
+	tbl := e.table.Load()
+	ts := e.tsink.Load()
+	if fc != nil {
+		fc.sync(tbl)
+	}
+	for _, p := range batch {
+		depth := p.Stack.Depth()
+		var inLabel uint32
+		if top, err := p.Stack.Top(); err == nil {
+			inLabel = uint32(top.Label)
+		}
+		s.depth.Observe(float64(depth))
+		var res swmpls.Result
+		if fc != nil {
+			res = fc.forward(tbl, p)
+		} else {
+			res = forward(tbl, p)
+		}
+		acc.record(p, res)
+		if ts.ring != nil {
+			ts.traceResult(depth, inLabel, res)
+		}
+		if sink != nil {
+			st.stage(sink, p, res)
+		}
+	}
+	if fc != nil {
+		acc.cacheHits, acc.cacheMisses = fc.take()
+	}
+}
+
 // worker drains one shard until the engine closes and the queue empties.
 // The table snapshot, trace sink and egress sink are loaded once per
 // batch, after the batch was taken off the queue — the batching
@@ -467,40 +555,12 @@ func (e *Engine) worker(id int, s *shard) {
 		if h := e.stallHook.Load(); h != nil {
 			(*h)(id)
 		}
-		tbl := e.table.Load()
-		ts := e.tsink.Load()
-		if fc != nil {
-			fc.sync(tbl)
-		}
 		acc.reset()
 		start := time.Now()
-		for _, p := range batch {
-			depth := p.Stack.Depth()
-			var inLabel uint32
-			if top, err := p.Stack.Top(); err == nil {
-				inLabel = uint32(top.Label)
-			}
-			s.depth.Observe(float64(depth))
-			var res swmpls.Result
-			if fc != nil {
-				res = fc.forward(tbl, p)
-			} else {
-				res = forward(tbl, p)
-			}
-			acc.record(p, res)
-			if ts.ring != nil {
-				ts.traceResult(depth, inLabel, res)
-			}
-			if sink != nil {
-				st.stage(sink, p, res)
-			}
-		}
+		e.run(s, fc, st, &acc, sink, batch)
 		acc.busy = time.Since(start).Seconds()
-		if fc != nil {
-			acc.cacheHits, acc.cacheMisses = fc.take()
-		}
 		s.lat.Observe(acc.busy)
-		s.fold(&acc)
+		s.fold(&acc, true)
 	}
 }
 
@@ -522,24 +582,28 @@ func (ts *traceSink) traceResult(depth int, inLabel uint32, res swmpls.Result) {
 }
 
 // Close stops the engine: no new packets are accepted, workers drain
-// what is already queued, and Close returns when they have exited. The
-// snapshot is final afterwards.
+// what is already queued, and Close returns when they have exited and
+// no Process call is still in flight. The snapshot is final afterwards.
 func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		e.wg.Wait()
-		return
-	}
-	for _, s := range e.shards {
-		s.close()
+	if !e.closed.Swap(true) {
+		for _, s := range e.shards {
+			s.close()
+		}
 	}
 	e.wg.Wait()
+	// A barrier, not a critical section: Process checks closed under the
+	// shard's inline lock, so taking it once waits out a call in flight.
+	for _, s := range e.shards {
+		s.inline.mu.Lock()
+		s.inline.mu.Unlock()
+	}
 }
 
 // Snapshot aggregates every shard's accounting.
 type Snapshot struct {
-	// Submitted counts packets accepted into the queues; QueueDropped
-	// counts packets the admission policy rejected. Submitted + QueueDropped
-	// is everything offered.
+	// Submitted counts packets accepted into the queues or taken by
+	// Process; QueueDropped counts packets the admission policy rejected.
+	// Submitted + QueueDropped is everything offered.
 	Submitted    stats.Counter
 	QueueDropped uint64
 	// Forwarded/Delivered/Dropped classify processed packets by the
@@ -553,6 +617,7 @@ type Snapshot struct {
 	// across workers. WorkerBusy is each worker's total processing time
 	// in seconds — max(WorkerBusy) is the engine's critical path, which
 	// is how the benchmark derives capacity on core-limited hosts.
+	// Neither counts Process: its time is its caller's.
 	BatchTime  stats.Sample
 	WorkerBusy []float64
 	// CacheHits/CacheMisses count flow-cache outcomes across workers:
@@ -570,8 +635,9 @@ type Snapshot struct {
 	Latency    telemetry.HistSnapshot
 	StackDepth telemetry.HistSnapshot
 	// EgressFlushSize/Timer/Close count egress staging-ring flushes by
-	// trigger: the ring reached the flush size, the flush interval
-	// expired on an idle queue, or the engine closed and drained.
+	// trigger: the ring reached the flush size or a Process batch ended,
+	// the flush interval expired on an idle queue, or the engine closed
+	// and drained.
 	// EgressBatch is the flushed-batch occupancy histogram — together
 	// they make the egress amortisation observable.
 	EgressFlushSize  uint64

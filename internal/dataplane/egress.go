@@ -12,12 +12,15 @@ import (
 // sink backed by a wire rides its SendBatch path with no per-packet
 // interface crossing.
 //
-// All three methods run on worker goroutines — concurrently across
-// shards, sequentially (and in per-flow order) within one — so an
-// implementation must be safe for concurrent use. Every slice argument
-// is shard-owned and reused after the call returns: a sink that needs
-// the packets beyond the call must copy the slice (the packets
-// themselves are handed over and never touched by the engine again).
+// All three methods run on worker goroutines, or on the caller's inside
+// Process — concurrently across shards, sequentially (and in per-flow
+// order) within one — so an implementation must be safe for concurrent
+// use. Every slice argument is shard-owned and reused after the call
+// returns: a sink that needs the packets beyond the call must copy the
+// slice. The engine never touches a packet again once it handed it
+// over, but a packet that came in through Process still belongs to
+// Process's caller, who may reuse it once Process returns; a sink that
+// keeps such a packet must Clone it.
 type Egress interface {
 	// Flush receives a batch of forwarded packets, all bound for the
 	// same next hop, in processing order.
@@ -34,7 +37,7 @@ type Egress interface {
 
 // Egress flush triggers, indexed into shard.egFlush.
 const (
-	egressTriggerSize  = iota // a staging ring reached the flush size
+	egressTriggerSize  = iota // a staging ring reached the flush size, or a Process batch ended
 	egressTriggerTimer        // the flush interval expired with the queue idle
 	egressTriggerClose        // the engine closed and the rings drained
 	numEgressTriggers
@@ -72,7 +75,9 @@ func newEgressStage(s *shard, flushN int) *egressStage {
 }
 
 // stage routes one processed packet into the right staging buffer and
-// flushes that buffer if it reached the flush size.
+// flushes that buffer if it reached the flush size (never, when flushN
+// is 0: Process's stage grows to its largest batch and flushes at the
+// end).
 func (st *egressStage) stage(sink Egress, p *packet.Packet, res swmpls.Result) {
 	switch res.Action {
 	case swmpls.Forward:
@@ -84,20 +89,20 @@ func (st *egressStage) stage(sink Egress, p *packet.Packet, res swmpls.Result) {
 		}
 		r.ps = append(r.ps, p)
 		st.pending++
-		if len(r.ps) >= st.flushN {
+		if st.flushN > 0 && len(r.ps) >= st.flushN {
 			st.flushRing(sink, r, egressTriggerSize)
 		}
 	case swmpls.Deliver:
 		st.deliver = append(st.deliver, p)
 		st.pending++
-		if len(st.deliver) >= st.flushN {
+		if st.flushN > 0 && len(st.deliver) >= st.flushN {
 			st.flushDeliver(sink, egressTriggerSize)
 		}
 	default:
 		st.drops = append(st.drops, p)
 		st.reasons = append(st.reasons, res.Drop)
 		st.pending++
-		if len(st.drops) >= st.flushN {
+		if st.flushN > 0 && len(st.drops) >= st.flushN {
 			st.flushDrops(sink, egressTriggerSize)
 		}
 	}

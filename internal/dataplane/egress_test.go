@@ -292,3 +292,100 @@ func TestSetEgressFirstBatchDelivered(t *testing.T) {
 		t.Errorf("sink received %d of %d packets submitted after SetEgress", fwd, workers*perShard)
 	}
 }
+
+// TestProcessInlineRunsToCompletion: Process forwards a batch on the
+// caller's goroutine and every staged packet has reached the sink when
+// it returns — no queue, no flush timer. The batch is counted into the
+// shard's snapshot like a queued one, except for worker busy time.
+func TestProcessInlineRunsToCompletion(t *testing.T) {
+	tl := &tally{}
+	e := New(WithWorkers(2), WithEgress(tl), WithEgressFlush(64, time.Hour))
+	if err := e.Update(func(f *swmpls.Forwarder) error {
+		if err := f.InstallILM(100, swapNHLFE(200, "b")); err != nil {
+			return err
+		}
+		return f.InstallILM(101, swmpls.NHLFE{Op: label.OpPop})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []*packet.Packet
+	for round := 1; round <= 2; round++ {
+		batch = batch[:0]
+		for i := 0; i < 10; i++ {
+			batch = append(batch,
+				labelled(100, uint16(i), uint64(i)), // forward
+				labelled(101, uint16(i), uint64(i)), // deliver
+				labelled(999, uint16(i), uint64(i))) // lookup miss: discard
+		}
+		if got := e.Process(1, batch); got != len(batch) {
+			t.Fatalf("round %d: Process took %d of %d", round, got, len(batch))
+		}
+		if fwd, dlv, dsc := tl.totals(); fwd != uint64(10*round) || dlv != uint64(10*round) || dsc != uint64(10*round) {
+			t.Fatalf("round %d: sink saw %d/%d/%d when Process returned, want %d each", round, fwd, dlv, dsc, 10*round)
+		}
+	}
+	snap := e.Snapshot()
+	if snap.Submitted.Events != 60 || snap.Forwarded.Events != 20 || snap.Delivered.Events != 20 || snap.Dropped.Events != 20 {
+		t.Errorf("snapshot %v, want 60 submitted: 20 forwarded, delivered, dropped", snap)
+	}
+	if snap.DropsByReason[swmpls.DropNoLabel] != 20 {
+		t.Errorf("lookup-miss drops %d, want 20", snap.DropsByReason[swmpls.DropNoLabel])
+	}
+	if snap.CacheHits == 0 {
+		t.Error("second round of the same flows hit the flow cache 0 times")
+	}
+	if snap.WorkerBusy[0]+snap.WorkerBusy[1] != 0 || snap.BatchTime.Count() != 0 {
+		t.Errorf("Process counted worker time (busy %v, %d batch samples): that time is the caller's", snap.WorkerBusy, snap.BatchTime.Count())
+	}
+	if snap.EgressFlushTimer != 0 || uint64(snap.EgressBatch.Sum) != 60 {
+		t.Errorf("egress: %d timer flushes, %v packets flushed; want 0 and 60", snap.EgressFlushTimer, snap.EgressBatch.Sum)
+	}
+	if e.Process(-1, batch) != 0 || e.Process(2, batch) != 0 {
+		t.Error("Process accepted an out-of-range shard")
+	}
+	e.Close()
+	if e.Process(0, batch) != 0 {
+		t.Error("Process ran on a closed engine")
+	}
+	if fwd, _, _ := tl.totals(); fwd != 20 {
+		t.Errorf("sink saw %d forwarded packets after Close, want 20", fwd)
+	}
+}
+
+// TestProcessInlineRacesClose races inline callers on every shard
+// against Close (run under -race): each batch Process reports taken
+// reached the sink exactly once, and none ran after Close returned.
+func TestProcessInlineRacesClose(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		tl := &tally{}
+		e := New(WithWorkers(2), WithEgress(tl), WithEgressFlush(8, time.Hour))
+		if err := e.InstallILM(100, swapNHLFE(200, "b")); err != nil {
+			t.Fatal(err)
+		}
+		var taken atomic.Uint64
+		var wg sync.WaitGroup
+		for shard := 0; shard < 2; shard++ {
+			wg.Add(1)
+			go func(shard int) {
+				defer wg.Done()
+				batch := make([]*packet.Packet, 20)
+				for i := 0; i < 200; i++ {
+					for j := range batch {
+						batch[j] = labelled(100, uint16(j), uint64(i))
+					}
+					taken.Add(uint64(e.Process(shard, batch)))
+				}
+			}(shard)
+		}
+		e.Close()
+		closed, _, _ := tl.totals()
+		wg.Wait()
+		fwd, _, _ := tl.totals()
+		if fwd != taken.Load() || closed != fwd {
+			t.Fatalf("trial %d: Process took %d, sink saw %d at Close and %d after", trial, taken.Load(), closed, fwd)
+		}
+		if got := e.Snapshot().Submitted.Events; got != fwd {
+			t.Fatalf("trial %d: snapshot submitted %d, sink saw %d", trial, got, fwd)
+		}
+	}
+}

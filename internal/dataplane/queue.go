@@ -36,6 +36,19 @@ type shard struct {
 	depth   *telemetry.Histogram
 	egBatch *telemetry.Histogram
 	egFlush [numEgressTriggers]atomic.Uint64
+
+	// inline is the shard's run-to-completion set for Process.
+	inline inlineState
+}
+
+// inlineState is what Process runs with: a flow cache and egress
+// staging owned by whichever caller holds mu — one socket reader per
+// shard on the wire path, so the lock is uncontended. The shard's
+// queued worker never touches it.
+type inlineState struct {
+	mu sync.Mutex
+	fc *flowCache
+	st *egressStage
 }
 
 // shardAgg is the shard's accumulated accounting, guarded by shard.mu.
@@ -203,16 +216,20 @@ func (s *shard) observeEgress(n, trigger int) {
 
 // fold merges one processed batch's accounting into the shard, one lock
 // acquisition per batch so the per-packet path stays contention-free.
-func (s *shard) fold(acc *batchAcc) {
+// timed folds the batch's busy time too (worker batches, not Process).
+func (s *shard) fold(acc *batchAcc, timed bool) {
 	s.mu.Lock()
+	s.agg.submitted.Merge(acc.submitted)
 	s.agg.forwarded.Merge(acc.forwarded)
 	s.agg.delivered.Merge(acc.delivered)
 	s.agg.dropped.Merge(acc.dropped)
 	for r, n := range acc.dropsByReason {
 		s.agg.dropsByReason[r] += n
 	}
-	s.agg.batchTime.Observe(acc.busy)
-	s.agg.busy += acc.busy
+	if timed {
+		s.agg.batchTime.Observe(acc.busy)
+		s.agg.busy += acc.busy
+	}
 	s.agg.cacheHits += acc.cacheHits
 	s.agg.cacheMisses += acc.cacheMisses
 	s.mu.Unlock()
@@ -233,8 +250,10 @@ func (s *shard) close() {
 	s.mu.Unlock()
 }
 
-// batchAcc is a worker's lock-free per-batch accumulator.
+// batchAcc is a worker's lock-free per-batch accumulator. submitted is
+// Process's admission count; queued batches were counted at enqueue.
 type batchAcc struct {
+	submitted     stats.Counter
 	forwarded     stats.Counter
 	delivered     stats.Counter
 	dropped       stats.Counter

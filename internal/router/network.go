@@ -456,17 +456,22 @@ func (n *Network) Lock() { n.mu.Lock() }
 // Unlock releases the network lock.
 func (n *Network) Unlock() { n.mu.Unlock() }
 
-// Close releases every router's data plane through the shared
-// DataPlane contract — engine-backed planes stop their workers, serial
-// planes are no-ops — and tears down any transport sockets. Planes
-// close first: a pumped engine drains its egress staging rings through
-// the wires on Close, so the wires must still be up (and the network
-// lock must not be held — the pump takes it per flush). It is
+// Close tears the network down in three steps. Receivers stop first
+// and finish their final batch, so no socket reader is forwarding
+// afterwards: no inline batch writes into a closed link and no reader
+// runs Engine.Process on a closed engine. Then every router's data
+// plane closes through the shared DataPlane contract — engine-backed
+// planes stop their workers and drain their egress staging rings
+// through the wires, which must therefore still be up (and the network
+// lock must not be held — the pump takes it per flush); serial planes
+// are no-ops. Last, the wires and every other managed closer. Close is
 // idempotent and safe to call while sends are still in flight:
-// transport links count packets racing the teardown as lost, and
-// receivers finish their final batch before Close returns.
+// transport links count packets racing the teardown as lost.
 func (n *Network) Close() {
 	n.closing.Do(func() {
+		for _, c := range n.closers {
+			stopReceivers(c)
+		}
 		for _, r := range n.Routers {
 			_ = r.Plane().Close()
 		}
@@ -474,6 +479,19 @@ func (n *Network) Close() {
 			_ = c.Close()
 		}
 	})
+}
+
+// stopReceivers closes the receive side of a managed closer: a
+// receiver, a sharded receiver group, or the two receivers of a UDP
+// pair. Anything else is left for the final pass.
+func stopReceivers(c io.Closer) {
+	switch c := c.(type) {
+	case *transport.Receiver, *transport.ShardedReceiver:
+		_ = c.Close()
+	case *transport.Duplex:
+		_ = c.RA.Close()
+		_ = c.RB.Close()
+	}
 }
 
 // SetTelemetry attaches one shared sink to every router — a single

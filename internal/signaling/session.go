@@ -213,7 +213,8 @@ func (s *Session) Handle(t MsgType, now float64) {
 }
 
 // Tick advances timers at time now: expires the dead timer, sends
-// hellos while not operational, paces keepalives while operational.
+// hellos while down and Init while adjacent, paces keepalives while
+// operational.
 // The speaker calls it on the Hello cadence.
 func (s *Session) Tick(now float64) {
 	if s.state != StateDown && now-s.lastHeard > s.timers.Hold {
@@ -223,9 +224,16 @@ func (s *Session) Tick(now float64) {
 		return
 	}
 	switch s.state {
-	case StateDown, StateAdjacent:
+	case StateDown:
 		if !s.helloMuted {
 			s.send(MsgHello)
+		}
+	case StateAdjacent:
+		// We have heard the peer and answered Init: re-offer that, never
+		// a hello. A hello reaching a peer our Init already brought up
+		// reads as a restart and tears the fresh session down.
+		if !s.helloMuted {
+			s.send(MsgInit)
 		}
 	case StateOperational:
 		if now-s.lastSent >= s.timers.Keepalive*s.kaStretch {

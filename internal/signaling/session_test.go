@@ -97,6 +97,31 @@ func TestSessionHandshake(t *testing.T) {
 	}
 }
 
+// TestSessionAdjacentTickKeepsPeerUp: a side that answered a hello
+// with Init and ticks before the peer's keepalive arrives re-offers
+// Init, not a hello. A hello would reach the peer that Init already
+// brought up and read as a restart, tearing the fresh session down.
+func TestSessionAdjacentTickKeepsPeerUp(t *testing.T) {
+	timers := Timers{Hello: 0.02}
+	a := newSessionHarness(timers)
+	b := newSessionHarness(timers)
+	a.sess.Tick(0)
+	b.sess.Handle(MsgHello, 0) // b adjacent, answers init
+	a.sess.Handle(MsgInit, 0)  // a operational, its keepalive in flight
+	b.sess.Tick(0.02)
+	if b.lastSent() != MsgInit {
+		t.Fatalf("adjacent tick sent %v, want init", b.lastSent())
+	}
+	a.sess.Handle(MsgInit, 0.02)
+	if a.sess.State() != StateOperational || a.downs != 0 {
+		t.Fatalf("a after the re-offered init: state %v downs %d", a.sess.State(), a.downs)
+	}
+	b.sess.Handle(a.lastSent(), 0.02)
+	if b.sess.State() != StateOperational || b.ups != 1 {
+		t.Fatalf("b after a's keepalive: state %v ups %d", b.sess.State(), b.ups)
+	}
+}
+
 // TestSessionDeadTimer checks silence tears the session down exactly
 // once past the hold time, and that recovery re-fires onUp.
 func TestSessionDeadTimer(t *testing.T) {

@@ -128,8 +128,9 @@ func TestBatchedPathAllocs(t *testing.T) {
 
 	// Receive side, white box: drive the datagram decoder directly with
 	// a prepared coalesced frame. The read loop is stopped first so the
-	// ingest path runs single-goroutine.
-	r, err := Listen("127.0.0.1:0", func([]Inbound) {}, WithSysBatch(1))
+	// ingest path runs single-goroutine, and the batch is one frame, so
+	// every frame fills it and flushes.
+	r, err := Listen("127.0.0.1:0", func([]Inbound) {}, WithSysBatch(1), WithBatch(32))
 	if err != nil {
 		t.Fatal(err)
 	}

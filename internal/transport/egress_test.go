@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,7 +14,7 @@ import (
 
 // wireSink is a batch egress sink backed by a UDPLink: the minimal
 // shape of the router's egress pump, used to pin the allocation cost
-// of the full shard -> staging ring -> SendBatch pipeline. After each
+// of the full engine -> staging ring -> SendBatch pipeline. After each
 // flush it rewinds the packets' label stacks so the test can resubmit
 // the same packets forever.
 type wireSink struct {
@@ -43,45 +42,18 @@ func (s *wireSink) Discard(ps []*packet.Packet, _ []swmpls.DropReason) {
 }
 
 // TestEgressPumpAllocs pins the steady-state allocation cost of the
-// whole batch-first egress path — pinned Submit, shard queue, label
-// swap, staging ring, size-triggered flush, coalesced SendBatch — at
-// zero. The submit batch equals the flush size, so every iteration is
-// exactly one drain, one staged ring and one size-triggered flush out
-// the wire.
+// batch-first egress path at zero, both ways a batch reaches the engine.
+//
+//   - queued: pinned Submit, shard queue, label swap, staging ring,
+//     size-triggered flush, coalesced SendBatch. The submit batch equals
+//     the flush size, so every iteration is exactly one drain, one staged
+//     ring and one size-triggered flush out the wire.
+//   - inline: socket to socket, the shape of router.Network.FeedTo —
+//     recvmmsg, frame decode, Engine.Process on the reader goroutine
+//     (label swap, staging, end-of-batch flush), SendBatch, sendmmsg.
 func TestEgressPumpAllocs(t *testing.T) {
-	// The wire writes into a socket nobody reads — kernel-side drops
-	// keep the measurement free of a receive goroutine.
-	sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sinkConn.Close()
-	l, err := Dial("a", "b", sinkConn.LocalAddr().String(),
-		WithCoalesce(32), WithSysBatch(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
 	const n = 16
 	entry := label.Entry{Label: 100, TTL: 64}
-	sink := &wireSink{l: l, entry: entry}
-	// Size is the only reachable trigger: the flush interval is
-	// unreachable and each submit fills a ring exactly. The flow cache
-	// stays off so the pin covers the uncached table walk.
-	e := dataplane.New(
-		dataplane.WithWorkers(1), dataplane.WithBatch(n),
-		dataplane.WithFlowCacheDisabled(),
-		dataplane.WithEgress(sink), dataplane.WithEgressFlush(n, time.Hour))
-	defer e.Close()
-	// Swap 100 -> 100: the sink's stack rewind keeps every packet
-	// resubmittable without rebuilding it.
-	if err := e.InstallILM(100, swmpls.NHLFE{
-		NextHop: "b", Op: label.OpSwap, PushLabels: []label.Label{100},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	ps := make([]*packet.Packet, n)
 	for i := range ps {
 		p := packet.New(packet.AddrFrom(10, 0, 0, 1), packet.AddrFrom(10, 0, 0, 9), 64, nil)
@@ -91,25 +63,92 @@ func TestEgressPumpAllocs(t *testing.T) {
 		}
 		ps[i] = p
 	}
-
-	var want uint64
-	cycle := func() {
-		want += n
-		if got := e.Submit(ps, dataplane.SubmitOpts{Wait: true, Pin: true, Shard: 0}); got != n {
-			t.Fatalf("pinned submit accepted %d of %d", got, n)
+	// newPump builds the wire (into a socket nobody reads — kernel-side
+	// drops keep the measurement free of a receive goroutine there) and
+	// an engine flushing onto it. Swap 100 -> 100: the sink's stack
+	// rewind keeps every packet resubmittable without rebuilding it. The
+	// flow cache stays off so the pin covers the uncached table walk.
+	newPump := func(t *testing.T) (*dataplane.Engine, *wireSink) {
+		sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; sink.flushed.Load() < want; i++ {
-			if i > 1<<30 {
-				t.Fatal("flush never completed")
+		t.Cleanup(func() { sinkConn.Close() })
+		l, err := Dial("a", "b", sinkConn.LocalAddr().String(),
+			WithCoalesce(32), WithSysBatch(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		sink := &wireSink{l: l, entry: entry}
+		// Size is the only reachable worker trigger: the flush interval is
+		// unreachable and each submit fills a ring exactly.
+		e := dataplane.New(
+			dataplane.WithWorkers(1), dataplane.WithBatch(n),
+			dataplane.WithFlowCacheDisabled(),
+			dataplane.WithEgress(sink), dataplane.WithEgressFlush(n, time.Hour))
+		t.Cleanup(e.Close)
+		if err := e.InstallILM(100, swmpls.NHLFE{
+			NextHop: "b", Op: label.OpSwap, PushLabels: []label.Label{100},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return e, sink
+	}
+	// pin runs one warm-up cycle (ring, buffers and wire scratch reach
+	// steady state), then measures.
+	pin := func(t *testing.T, sink *wireSink, send func()) {
+		var want uint64
+		cycle := func() {
+			want += n
+			send()
+			// Sleep, not Gosched: AllocsPerRun runs on one P, and a
+			// spinning waiter would keep the reader parked in the
+			// netpoller until sysmon's next poll.
+			deadline := time.Now().Add(5 * time.Second)
+			for sink.flushed.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatal("flush never completed")
+				}
+				time.Sleep(10 * time.Microsecond)
 			}
-			runtime.Gosched()
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("egress pump allocates %.1f times per batch, want 0", allocs)
+		}
+		if s := sink.stray.Load(); s != 0 {
+			t.Errorf("%d packets left the forwarding path (deliver/discard), want 0", s)
 		}
 	}
-	cycle() // warm up: ring, drain buffer and wire scratch reach steady state
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Errorf("egress pump allocates %.1f times per batch, want 0", allocs)
-	}
-	if s := sink.stray.Load(); s != 0 {
-		t.Errorf("%d packets left the forwarding path (deliver/discard), want 0", s)
-	}
+
+	t.Run("queued", func(t *testing.T) {
+		e, sink := newPump(t)
+		pin(t, sink, func() {
+			if got := e.Submit(ps, dataplane.SubmitOpts{Wait: true, Pin: true, Shard: 0}); got != n {
+				t.Fatalf("pinned submit accepted %d of %d", got, n)
+			}
+		})
+	})
+	t.Run("inline", func(t *testing.T) {
+		e, sink := newPump(t)
+		batch := make([]*packet.Packet, 0, 64)
+		r, err := Listen("127.0.0.1:0", func(in []Inbound) {
+			batch = batch[:0]
+			for _, a := range in {
+				batch = append(batch, a.P)
+			}
+			e.Process(0, batch)
+		}, WithBatch(64), WithSysBatch(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		tx, err := Dial("x", "a", r.Addr().String(), WithCoalesce(32), WithSysBatch(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tx.Close() })
+		pin(t, sink, func() { tx.SendBatch(ps) })
+	})
 }

@@ -13,7 +13,7 @@ import "syscall"
 
 const haveMmsg = false
 
-type mmsgIO struct{}
+type mmsgIO struct{ n, done int }
 
 func newMmsgIO(int) *mmsgIO { return &mmsgIO{} }
 

@@ -29,7 +29,7 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		batch:         32,
+		batch:         256,
 		coalesce:      1,
 		sysBatch:      32,
 		flushInterval: 200 * time.Microsecond,
@@ -61,9 +61,9 @@ func WithNames(names []string) Option {
 	return func(c *config) { c.names = names }
 }
 
-// WithBatch sets the receiver's batch size: how many decoded packets
-// are accumulated (bounded by WithFlushInterval) before the sink runs.
-// Values below one are clamped to one.
+// WithBatch caps the receiver's batch: the sink runs when the socket
+// has no more datagrams to read or when this many decoded packets are
+// pending, whichever comes first. Values below one are clamped to one.
 func WithBatch(n int) Option {
 	return func(c *config) {
 		if n < 1 {
@@ -107,9 +107,10 @@ func WithSysBatch(n int) Option {
 	}
 }
 
-// WithFlushInterval bounds how long a receiver waits for a batch to
-// fill once at least one packet is pending. Smaller values bound added
-// latency; larger ones amortise sink calls.
+// WithFlushInterval bounds how long a link's open coalesced frame waits
+// for more Send calls before it is sealed and written. SendBatch never
+// leaves a frame open, and receivers flush when the socket drains, so
+// neither waits on it.
 func WithFlushInterval(d time.Duration) Option {
 	return func(c *config) {
 		if d > 0 {

@@ -1,13 +1,10 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"embeddedmpls/internal/packet"
 	"embeddedmpls/internal/telemetry"
@@ -28,16 +25,17 @@ type Inbound struct {
 // Receiver owns one UDP socket and turns its datagrams into batches of
 // decoded packets. One recvmmsg syscall pulls up to WithSysBatch
 // datagrams off the kernel queue, each datagram may be a coalesced
-// frame carrying many packets, and arrivals accumulate until the batch
-// is full or the flush interval expires, then go to the sink in one
-// call — the socket-side mirror of dataplane.Engine's batched Submit, so
-// a node's receive path amortises per-packet dispatch the same way its
-// forwarding path does.
+// frame carrying many packets, and a batch is what the socket holds
+// right now: the loop keeps reading without parking while packets are
+// pending and hands them to the sink as soon as a read finds the socket
+// empty, or the batch (WithBatch) is full. Nothing waits on a timer, so
+// a burst reaches the sink one syscall after its last datagram landed.
 //
 // The sink owns the packets only for the duration of the call: the
 // receiver reuses their stack and payload storage for the next batch,
-// which is what keeps the decode path allocation-free. Sinks that
-// queue packets (dataplane submission does) must Clone them.
+// which is what keeps the decode path allocation-free. A sink that
+// keeps packets past the call must Clone them; one that forwards them
+// before returning (router.Network.FeedTo) need not.
 type Receiver struct {
 	conn    *net.UDPConn
 	rc      syscall.RawConn
@@ -46,17 +44,20 @@ type Receiver struct {
 	peer  string
 	names []string
 
-	batch    []Inbound
-	pending  int
-	flushIvl time.Duration
+	batch   []Inbound
+	pending int
 
 	readBufs [][]byte
 	sizes    []int
 	io       *mmsgIO
-	recvFn   func(fd uintptr) bool // stored once: no per-read closure alloc
-	segFn    func(seg []byte) error
-	recvN    int
-	recvErr  syscall.Errno
+	// recvFn (parks on EAGAIN) and pollFn (returns on EAGAIN) are the
+	// raw-connection read callbacks, stored once: no per-read closure
+	// alloc.
+	recvFn  func(fd uintptr) bool
+	pollFn  func(fd uintptr) bool
+	segFn   func(seg []byte) error
+	recvN   int
+	recvErr syscall.Errno
 
 	m         *Metrics
 	drop      func(telemetry.Reason)
@@ -103,7 +104,6 @@ func newReceiver(conn *net.UDPConn, sink func(batch []Inbound), cfg config) (*Re
 		peer:      cfg.peer,
 		names:     cfg.names,
 		batch:     make([]Inbound, cfg.batch),
-		flushIvl:  cfg.flushInterval,
 		readBufs:  make([][]byte, cfg.sysBatch),
 		sizes:     make([]int, cfg.sysBatch),
 		m:         cfg.metrics,
@@ -125,6 +125,7 @@ func newReceiver(conn *net.UDPConn, sink func(batch []Inbound), cfg config) (*Re
 		r.io = newMmsgIO(cfg.sysBatch)
 	}
 	r.recvFn = r.recvStep
+	r.pollFn = r.pollStep
 	r.segFn = func(seg []byte) error { r.ingestPacket(seg); return nil }
 	go r.loop()
 	return r, nil
@@ -149,70 +150,89 @@ func (r *Receiver) Close() error {
 	return err
 }
 
-// recvStep is the raw-connection read callback: one recvmmsg filling
-// up to the loaded buffer ring. Stored once in recvFn so issuing it
-// allocates nothing.
-func (r *Receiver) recvStep(fd uintptr) bool {
+// recv issues one read syscall: a recvmmsg filling up to the loaded
+// buffer ring, or a single datagram read without the batched call.
+func (r *Receiver) recv(fd uintptr) {
 	r.m.RxSyscalls.Add(1)
-	n, errno := r.io.recvStep(fd)
-	if errno == syscall.EAGAIN {
-		return false
+	if r.io != nil {
+		r.recvN, r.recvErr = r.io.recvStep(fd)
+		return
 	}
-	r.recvN, r.recvErr = n, errno
+	r.sizes[0], r.recvErr = readOne(fd, r.readBufs[0])
+	if r.recvErr == 0 {
+		r.recvN = 1
+	}
+}
+
+// readOne reads one datagram into buf without blocking — the
+// receiver's path when the syscall batch is one.
+func readOne(fd uintptr, buf []byte) (int, syscall.Errno) {
+	n, err := syscall.Read(int(fd), buf)
+	if err != nil {
+		return 0, err.(syscall.Errno)
+	}
+	return n, 0
+}
+
+// recvStep parks the read loop in the netpoller while the socket is
+// empty; pollStep returns either way, so EAGAIN reaches the loop.
+func (r *Receiver) recvStep(fd uintptr) bool {
+	r.recv(fd)
+	return r.recvErr != syscall.EAGAIN
+}
+
+func (r *Receiver) pollStep(fd uintptr) bool {
+	r.recv(fd)
 	return true
 }
 
-// readBatch blocks for at least one datagram (respecting the read
-// deadline) and returns how many arrived, with their lengths in
-// r.sizes. One recvmmsg drains up to the syscall batch; without the
-// batched syscall each datagram costs one read.
-func (r *Receiver) readBatch() (int, error) {
+// readBatch reads what the socket holds and returns how many datagrams
+// arrived, with their lengths in r.sizes. With block set it waits for
+// at least one; without, it returns 0 at once when the socket is empty.
+func (r *Receiver) readBatch(block bool) (int, error) {
+	fn := r.pollFn
+	if block {
+		fn = r.recvFn
+	}
 	if r.io != nil {
 		r.io.load(r.readBufs)
-		r.recvN, r.recvErr = 0, 0
-		if err := r.rc.Read(r.recvFn); err != nil {
-			return 0, err
-		}
-		if r.recvErr != 0 {
-			return 0, r.recvErr
-		}
+	}
+	r.recvN, r.recvErr = 0, 0
+	if err := r.rc.Read(fn); err != nil {
+		return 0, err
+	}
+	switch r.recvErr {
+	case 0:
+	case syscall.EAGAIN:
+		return 0, nil
+	default:
+		return 0, r.recvErr
+	}
+	if r.io != nil {
 		for i := 0; i < r.recvN; i++ {
 			r.sizes[i] = r.io.size(i)
 		}
-		return r.recvN, nil
 	}
-	r.m.RxSyscalls.Add(1)
-	n, err := r.conn.Read(r.readBufs[0])
-	if err != nil {
-		return 0, err
-	}
-	r.sizes[0] = n
-	return 1, nil
+	return r.recvN, nil
 }
 
 // loop is the socket read loop: block for the first datagram of a
-// batch, then drain with a short deadline so a burst fills the batch
-// but a lone packet is not held hostage for longer than the flush
-// interval.
+// batch, then read on without parking until the socket is empty, and
+// flush then. The read that finds the socket empty is the only wait a
+// batch pays.
 func (r *Receiver) loop() {
 	defer close(r.done)
 	for {
-		if r.pending == 0 {
-			// Nothing buffered: block indefinitely for the next packet.
-			r.conn.SetReadDeadline(time.Time{})
-		} else {
-			r.conn.SetReadDeadline(time.Now().Add(r.flushIvl))
-		}
-		n, err := r.readBatch()
+		n, err := r.readBatch(r.pending == 0)
 		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				r.flush()
-				continue
-			}
 			// Socket closed (or unrecoverable): deliver what we have
 			// and stop.
 			r.flush()
 			return
+		}
+		if n == 0 {
+			r.flush()
+			continue
 		}
 		var bytes uint64
 		for i := 0; i < n; i++ {

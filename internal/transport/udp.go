@@ -23,12 +23,12 @@ import (
 //
 // SendBatch is the primary egress path; Send is a batch of one.
 // Both feed one coalescer: with WithCoalesce, packets pack into
-// coalesced frame datagrams (many packets per datagram, sealed on
-// count or after the flush interval — a partial frame stays open
-// across calls), and sealed frames move up to WithSysBatch datagrams
-// per sendmmsg syscall where the platform has it. The whole path
-// reuses link-owned buffers, so steady-state batched sends allocate
-// nothing.
+// coalesced frame datagrams (many packets per datagram), and sealed
+// frames move up to WithSysBatch datagrams per sendmmsg syscall where
+// the platform has it. SendBatch writes everything it was given before
+// it returns; only Send leaves a partial frame open, sealed by the next
+// call or after the flush interval. The whole path reuses link-owned
+// buffers, so steady-state batched sends allocate nothing.
 //
 // Fault semantics mirror netsim.Link: the hook sees the packet when
 // its transmission starts, a Drop verdict eats it, ExtraDelay defers
@@ -66,8 +66,8 @@ type UDPLink struct {
 	// smu guards the batching state below. Send and SendBatch share one
 	// coalescer: both feed the open frame (frBuf/fr), sealed frames
 	// become datagram views, and views drain through batched syscalls. A
-	// partially filled frame stays open across calls and is flushed by
-	// the timer, so single-packet Sends coalesce with batches.
+	// frame a Send left partially filled stays open for the next call or
+	// the timer, so single-packet Sends coalesce with each other.
 	smu       sync.Mutex
 	pendTimer *time.Timer
 
@@ -248,8 +248,9 @@ func (l *UDPLink) encodeOne(p *packet.Packet, fault netsim.Fault) (*[]byte, floa
 // batch-of-one through the same coalescer as SendBatch, so loss is
 // counted, never reported — exactly the simulated link's contract —
 // and with coalescing enabled the packet joins the open frame and
-// reaches the socket when the frame fills or the flush interval
-// expires. Send is safe to call concurrently with Close.
+// reaches the socket when the frame fills, the next SendBatch seals it,
+// or the flush interval expires. Send is safe to call concurrently with
+// Close.
 func (l *UDPLink) Send(p *packet.Packet) {
 	if l.closed.Load() || l.down.Load() {
 		l.lost(p, telemetry.ReasonNoRoute)
@@ -262,33 +263,46 @@ func (l *UDPLink) Send(p *packet.Packet) {
 	l.one[0] = p
 	l.sendBatchLocked(l.one[:], fault)
 	l.one[0] = nil
+	if l.frOpen && l.fr.Count() == 1 {
+		// This packet opened the frame: arm the flush timer. Arming on
+		// the empty->nonempty transition bounds how long any packet
+		// waits, even under a steady trickle that never fills frames.
+		l.pendTimer.Reset(l.flushIvl)
+	}
+	l.writeViews()
 	l.smu.Unlock()
 }
 
 // SendBatch implements netsim.Wire: it moves a whole slice of packets
 // through the link in one call. Packets are packed into coalesced
-// frames (per WithCoalesce) and full frames written with batched
-// syscalls (up to WithSysBatch datagrams per sendmmsg). A partially
-// filled tail frame stays open for the next Send/SendBatch and is
-// otherwise flushed when the flush interval expires, so sub-batch
-// callers still coalesce across calls. Per-packet down/closed/fault
-// semantics match Send, except the fault hook is sampled once per
-// call. The steady-state path allocates nothing: encode buffers,
-// scatter/gather state and the syscall closure are all link-owned and
-// reused.
+// frames (per WithCoalesce) and written with batched syscalls (up to
+// WithSysBatch datagrams per sendmmsg); the partial tail frame is
+// sealed too, so every packet has reached the socket when SendBatch
+// returns and none waits for the flush timer. The packets are encoded
+// synchronously and never referenced afterwards: a caller may reuse
+// them at once. Per-packet down/closed/fault semantics match Send,
+// except the fault hook is sampled once per call. The steady-state
+// path allocates nothing: encode buffers, scatter/gather state and the
+// syscall closure are all link-owned and reused.
 func (l *UDPLink) SendBatch(ps []*packet.Packet) {
 	l.mu.Lock()
 	fault := l.fault
 	l.mu.Unlock()
 	l.smu.Lock()
 	l.sendBatchLocked(ps, fault)
+	if l.frOpen && l.fr.Count() > 0 {
+		l.sealFrame()
+	}
+	l.writeViews()
 	l.smu.Unlock()
 }
 
-// sendBatchLocked is the single egress path: every packet — from Send
+// sendBatchLocked is the single encode path: every packet — from Send
 // or SendBatch — joins the open coalesced frame (or its own datagram
-// view when coalescing is off), sealed frames become views, and views
-// drain through writeViews. Callers hold smu.
+// view when coalescing is off), and sealed frames become views, which
+// drain through writeViews when the syscall batch fills. The caller
+// decides what happens to the open frame and the last views, and holds
+// smu.
 func (l *UDPLink) sendBatchLocked(ps []*packet.Packet, fault netsim.Fault) {
 	for _, p := range ps {
 		if l.closed.Load() || l.down.Load() {
@@ -343,9 +357,6 @@ func (l *UDPLink) sendBatchLocked(ps []*packet.Packet, fault netsim.Fault) {
 		putBuf(buf)
 		l.pushView(*vb, 1)
 	}
-	// Sealed frames go to the socket now; a partially filled open frame
-	// stays pending for the next call or the flush timer.
-	l.writeViews()
 }
 
 // openFrame starts a coalesced frame in the link-owned frame buffer —
@@ -361,18 +372,11 @@ func (l *UDPLink) openFrame() {
 	l.frPkts = 0
 }
 
-// frameAppended runs the post-append triggers: seal when the frame is
-// full, arm the flush timer when a fresh frame received its first
-// packet (arming on the empty->nonempty transition bounds how long any
-// packet waits, even under a steady trickle that never fills frames).
-// Callers hold smu.
+// frameAppended seals the open frame once it is full. Callers hold
+// smu.
 func (l *UDPLink) frameAppended() {
 	if l.fr.Count() >= l.coalesce || l.fr.Size() >= maxFrameSize-MaxDatagram {
 		l.sealFrame()
-		return
-	}
-	if l.fr.Count() == 1 {
-		l.pendTimer.Reset(l.flushIvl)
 	}
 }
 

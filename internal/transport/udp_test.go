@@ -193,6 +193,42 @@ func TestBatching(t *testing.T) {
 	}
 }
 
+// TestReceiverFlushesWhenSocketDrains: a batch is what the socket holds
+// right now. Five packets against a 256-packet batch and an hour-long
+// flush interval must reach the sink at once — the receiver hands them
+// over when its next read finds the socket empty, not when a timer
+// fires — on the recvmmsg path and on the single-read one.
+func TestReceiverFlushesWhenSocketDrains(t *testing.T) {
+	for _, sys := range []int{32, 1} {
+		var s sink
+		r, err := Listen("127.0.0.1:0", s.deliver,
+			WithBatch(256), WithFlushInterval(time.Hour), WithSysBatch(sys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Dial("a", "rx", r.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			l.Send(labelled(uint64(i)))
+		}
+		for deadline := time.Now().Add(100 * time.Millisecond); ; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			n := len(s.got)
+			s.mu.Unlock()
+			if n == 5 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("sys-batch %d: sink has %d of 5 packets after 100ms", sys, n)
+			}
+		}
+		l.Close()
+		r.Close()
+	}
+}
+
 // TestLinkCloseConcurrentWithSend: closing a link while senders hammer
 // it must not race, double-release buffers, or lose accounting —
 // every send ends up in TxPackets or TxLost/TxErrors.
